@@ -16,25 +16,21 @@
 //                   rises toward the sequential-write ceiling.
 //   - partitions:   4 producers spread over P partitions of one broker —
 //                   the intra-broker parallelism axis (§3.1 topic sharding).
-//   - staging_x_producers: LogConfig::staging (off/ring) x producer count on
-//                   one contended partition, plus a disjoint t8/p8 pair
-//                   (DESIGN.md §5a). On this single-core box wall-clock
-//                   cannot show a parallelism win (E15/E16 caveat), so the
-//                   headline columns are the contention counters:
-//                   append_locks_per_krec collapses from the locked
-//                   pipeline's 3 per batch to ~0 under ring staging, and
-//                   lock_wait_us (the broker's produce_lock_wait_us sum)
-//                   shrinks with it; ring_occupancy and staging_ring_full
-//                   show how hard the drainer is being pushed.
+//   - producers:    producer count on one contended partition (1/2/4/8),
+//                   plus a disjoint 8-thread/8-partition point (DESIGN.md
+//                   §5a). Besides throughput, the contention counters:
+//                   append_locks_per_krec (the append pipeline takes its
+//                   mutex 3 times per batch) and lock_wait_us (the broker's
+//                   produce_lock_wait_us sum).
 //
 // The simulated disk charges a fixed fsync cost (DiskLatencyModel::sync_us),
 // the term group commit amortizes; `fsyncs` in the output is the measured
 // Disk::Sync call count, so the amortization is directly visible.
 //
 // --json[=path] emits BENCH_insert_sweep.json for CI trend tracking
-// (scripts/bench_compare.py). --quick runs a 5-point smoke (baseline,
-// acks=all/every_batch, acks=all/group, staging off/ring at 4 producers)
-// used by scripts/check.sh and CI.
+// (scripts/bench_compare.py). --quick runs a 4-point smoke (baseline,
+// acks=all/every_batch, acks=all/group, 4 producers on one partition) used
+// by scripts/check.sh and CI.
 
 #include <algorithm>
 #include <atomic>
@@ -86,17 +82,12 @@ const char* SyncName(storage::SyncMode mode) {
   return "?";
 }
 
-const char* StagingName(storage::Staging staging) {
-  return staging == storage::Staging::kRing ? "ring" : "off";
-}
-
 /// One point of the sweep: everything held at the baseline except the axis
 /// under study.
 struct PointSpec {
   std::string axis;
   AckMode acks = AckMode::kLeader;
   storage::SyncMode sync = storage::SyncMode::kNone;
-  storage::Staging staging = storage::Staging::kOff;
   int threads = 1;
   int partitions = 1;
   int batch_records = 100;
@@ -111,11 +102,9 @@ struct SweepPoint {
   int64_t fsyncs = 0;
   double records_per_sec = 0;
   double mb_per_sec = 0;
-  /// Contention evidence (the staging axis headline; see file comment).
+  /// Contention evidence (see the producers axis in the file comment).
   int64_t lock_wait_us = 0;
   double append_locks_per_krec = 0;
-  double ring_occupancy = 0;
-  int64_t staging_ring_full = 0;
 };
 
 std::string PointName(const PointSpec& s) {
@@ -129,9 +118,8 @@ std::string PointName(const PointSpec& s) {
   if (s.axis == "value_bytes") {
     return "value_bytes/v" + std::to_string(s.value_bytes);
   }
-  if (s.axis == "staging_x_producers") {
-    return "staging_x_producers/staging=" + std::string(StagingName(s.staging)) +
-           "/t" + std::to_string(s.threads) + "/p" +
+  if (s.axis == "producers") {
+    return "producers/t" + std::to_string(s.threads) + "/p" +
            std::to_string(s.partitions);
   }
   return "partitions/p" + std::to_string(s.partitions);
@@ -165,7 +153,6 @@ SweepPoint RunPoint(const PointSpec& spec, int64_t target_records) {
   topic.partitions = spec.partitions;
   topic.replication_factor = 1;
   topic.log.sync_mode = spec.sync;
-  topic.log.staging = spec.staging;
   LIQUID_CHECK_OK(cluster->CreateTopic("bench", topic));
   Broker* broker = cluster->broker(0);
   storage::MemDisk* disk = cluster->disk(0);
@@ -175,9 +162,6 @@ SweepPoint RunPoint(const PointSpec& spec, int64_t target_records) {
   const int64_t lock_wait_before = lock_wait->Stats().sum;
   const int64_t locks_before =
       SumLogCounter(spec, "producer_append_mu_acquisitions");
-  const int64_t ring_full_before = SumLogCounter(spec, "staging_ring_full_total");
-  const int64_t occupancy_before = SumLogCounter(spec, "staging_occupancy_sum");
-  const int64_t drained_before = SumLogCounter(spec, "staging_drained_batches");
 
   const int batches_per_thread = static_cast<int>(std::max<int64_t>(
       1, target_records / (static_cast<int64_t>(spec.threads) *
@@ -207,18 +191,9 @@ SweepPoint RunPoint(const PointSpec& spec, int64_t target_records) {
     workers.emplace_back([&, t] {
       for (int i = 0; i < batches_per_thread; ++i) {
         const TopicPartition tp{"bench", (t + i) % spec.partitions};
-        for (;;) {
-          std::vector<storage::Record> batch = batches[t];  // Fresh offsets.
-          auto resp = broker->Produce(tp, std::move(batch), spec.acks);
-          if (resp.ok()) break;
-          // Ring backpressure is a normal retriable verdict under
-          // staging=ring (the client-side throttle convention); anything
-          // else is a bench bug.
-          if (!resp.status().IsResourceExhausted()) {
-            LIQUID_CHECK_OK(resp.status());
-          }
-          std::this_thread::yield();
-        }
+        std::vector<storage::Record> batch = batches[t];  // Fresh offsets.
+        auto resp = broker->Produce(tp, std::move(batch), spec.acks);
+        LIQUID_CHECK_OK(resp.status());
         acked.fetch_add(spec.batch_records, std::memory_order_relaxed);
       }
     });
@@ -236,34 +211,20 @@ SweepPoint RunPoint(const PointSpec& spec, int64_t target_records) {
   point.mb_per_sec = static_cast<double>(point.records) *
                      static_cast<double>(spec.value_bytes) / wall_us;
   point.lock_wait_us = lock_wait->Stats().sum - lock_wait_before;
-
-  // Tear the cluster down first so the ring drainer has consumed every
-  // published run before the staging counters are snapshotted.
-  cluster.reset();
   const double records = static_cast<double>(std::max<int64_t>(1, point.records));
   point.append_locks_per_krec =
       static_cast<double>(SumLogCounter(spec, "producer_append_mu_acquisitions") -
                           locks_before) *
       1000.0 / records;
-  point.staging_ring_full =
-      SumLogCounter(spec, "staging_ring_full_total") - ring_full_before;
-  const int64_t drained =
-      SumLogCounter(spec, "staging_drained_batches") - drained_before;
-  point.ring_occupancy =
-      drained > 0
-          ? static_cast<double>(SumLogCounter(spec, "staging_occupancy_sum") -
-                                occupancy_before) /
-                static_cast<double>(drained)
-          : 0.0;
   return point;
 }
 
 std::vector<PointSpec> BuildSweep(bool quick) {
   std::vector<PointSpec> specs;
   if (quick) {
-    // The 5-point smoke: baseline, the fsync-per-batch floor, group commit
-    // recovering from it, and the staging off/ring pair on one contended
-    // partition. CI asserts only that these run and emit.
+    // The 4-point smoke: baseline, the fsync-per-batch floor, group commit
+    // recovering from it, and 4 producers on one contended partition. CI
+    // asserts only that these run and emit.
     PointSpec base;
     base.axis = "ack_x_sync";
     base.threads = 4;
@@ -273,12 +234,10 @@ std::vector<PointSpec> BuildSweep(bool quick) {
     specs.push_back(base);
     base.sync = storage::SyncMode::kGroup;
     specs.push_back(base);
-    PointSpec staged;
-    staged.axis = "staging_x_producers";
-    staged.threads = 4;
-    specs.push_back(staged);
-    staged.staging = storage::Staging::kRing;
-    specs.push_back(staged);
+    PointSpec contended;
+    contended.axis = "producers";
+    contended.threads = 4;
+    specs.push_back(contended);
     return specs;
   }
   for (storage::SyncMode sync :
@@ -312,35 +271,29 @@ std::vector<PointSpec> BuildSweep(bool quick) {
     s.threads = 4;
     specs.push_back(s);
   }
-  // Staging axis: producer-count scaling on ONE contended partition for both
-  // staging modes, plus a disjoint 8-thread/8-partition pair (the regime
-  // where per-partition rings shard the contention away entirely).
-  for (storage::Staging staging :
-       {storage::Staging::kOff, storage::Staging::kRing}) {
-    for (int t : {1, 2, 4, 8}) {
-      PointSpec s;
-      s.axis = "staging_x_producers";
-      s.staging = staging;
-      s.threads = t;
-      specs.push_back(s);
-    }
+  // Producers axis: producer-count scaling on ONE contended partition, plus
+  // a disjoint 8-thread/8-partition point (per-partition locks shard the
+  // contention away).
+  for (int t : {1, 2, 4, 8}) {
     PointSpec s;
-    s.axis = "staging_x_producers";
-    s.staging = staging;
-    s.threads = 8;
-    s.partitions = 8;
+    s.axis = "producers";
+    s.threads = t;
     specs.push_back(s);
   }
+  PointSpec disjoint;
+  disjoint.axis = "producers";
+  disjoint.threads = 8;
+  disjoint.partitions = 8;
+  specs.push_back(disjoint);
   return specs;
 }
 
 void Run(const char* json_path, bool quick) {
   const std::vector<PointSpec> specs = BuildSweep(quick);
   std::vector<SweepPoint> points;
-  Table table({"axis", "acks", "sync", "staging", "threads", "parts", "batch",
+  Table table({"axis", "acks", "sync", "threads", "parts", "batch",
                "value_b", "records", "wall_us", "records_per_sec",
-               "mb_per_sec", "fsyncs", "lock_wait_us", "locks_per_krec",
-               "ring_occ", "ring_full"});
+               "mb_per_sec", "fsyncs", "lock_wait_us", "locks_per_krec"});
   for (const PointSpec& spec : specs) {
     // Bound the bytes written at large record sizes so the value axis does
     // not dominate the sweep's wall time and memory.
@@ -352,15 +305,14 @@ void Run(const char* json_path, bool quick) {
     SweepPoint p = RunPoint(spec, target);
     points.push_back(p);
     table.AddRow({p.spec.axis, AckName(p.spec.acks), SyncName(p.spec.sync),
-                  StagingName(p.spec.staging), std::to_string(p.spec.threads),
+                  std::to_string(p.spec.threads),
                   std::to_string(p.spec.partitions),
                   std::to_string(p.spec.batch_records),
                   std::to_string(p.spec.value_bytes),
                   std::to_string(p.records), std::to_string(p.wall_us),
                   Fmt(p.records_per_sec, 0), Fmt(p.mb_per_sec, 1),
                   std::to_string(p.fsyncs), std::to_string(p.lock_wait_us),
-                  Fmt(p.append_locks_per_krec, 2), Fmt(p.ring_occupancy, 1),
-                  std::to_string(p.staging_ring_full)});
+                  Fmt(p.append_locks_per_krec, 2)});
   }
   table.Print(
       "E16 insert sweep: single-broker produce rate, one axis at a time from "
@@ -375,8 +327,7 @@ void Run(const char* json_path, bool quick) {
       const SweepPoint& p = points[i];
       out << "    {\"name\": \"" << p.name << "\", \"axis\": \"" << p.spec.axis
           << "\", \"acks\": \"" << AckName(p.spec.acks) << "\", \"sync\": \""
-          << SyncName(p.spec.sync) << "\", \"staging\": \""
-          << StagingName(p.spec.staging)
+          << SyncName(p.spec.sync)
           << "\", \"threads\": " << p.spec.threads
           << ", \"partitions\": " << p.spec.partitions
           << ", \"batch_records\": " << p.spec.batch_records
@@ -387,8 +338,7 @@ void Run(const char* json_path, bool quick) {
           << ", \"fsyncs\": " << p.fsyncs
           << ", \"lock_wait_us\": " << p.lock_wait_us
           << ", \"append_locks_per_krec\": " << Fmt(p.append_locks_per_krec, 2)
-          << ", \"ring_occupancy\": " << Fmt(p.ring_occupancy, 2)
-          << ", \"staging_ring_full\": " << p.staging_ring_full << "}"
+          << "}"
           << (i + 1 < points.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";

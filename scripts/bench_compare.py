@@ -11,11 +11,9 @@ Understands both JSON shapes the repo's benches emit:
       {"results": [{"name": ..., "records_per_sec": ...}, ...]}
     Any numeric field ending in `_per_sec` is treated as higher-is-better;
     fields ending in `_us` or `_ms` as lower-is-better latencies. A few
-    suffix-less staging-ring fields (bench_insert_sweep's E17 axis) have an
-    explicit direction in DIRECTION_OVERRIDES: lower staging_depth /
-    staging_ring_full / append_locks_per_krec is better (less backlog,
-    backpressure and lock traffic), higher ring_occupancy is better (the
-    producers actually run ahead of the drainer).
+    suffix-less fields have an explicit direction in DIRECTION_OVERRIDES:
+    lower append_locks_per_krec is better (less lock traffic in
+    bench_insert_sweep), and the chaos-soak invariant counters.
 
   * google-benchmark's --benchmark_out report (bench_log_throughput):
       {"benchmarks": [{"name": ..., "real_time": ..., "items_per_second": ...}]}
@@ -44,14 +42,11 @@ def load(path):
 
 
 # Suffix-less metrics whose improvement direction is semantic, not lexical
-# (the staging-ring axis of bench_insert_sweep, see EXPERIMENTS.md E17; the
+# (bench_insert_sweep's lock-traffic column, see EXPERIMENTS.md E16/E17; the
 # chaos-soak invariant counters, see EXPERIMENTS.md E18). True: higher is
 # better.
 DIRECTION_OVERRIDES = {
-    "staging_depth": False,
-    "staging_ring_full": False,
     "append_locks_per_krec": False,
-    "ring_occupancy": True,
     "acked_records": True,
     "acked_recovered": True,
     "lost_acked": False,

@@ -172,8 +172,9 @@ fi
 # (scripts/bench_compare.py diffs two emission runs and fails on >10%
 # regressions). bench_log_throughput is filtered to one cheap leg;
 # bench_parallel_produce and bench_insert_sweep run --quick (the latter's
-# 5 points include the staging off/ring pair): the gate checks emission,
-# not trends.
+# 4 points: baseline, the every_batch / group durability pair, and 4
+# producers on one partition): the gate checks emission and the point
+# count, not trends.
 note "bench emission (pipeline_latency, log_throughput, parallel_produce, insert_sweep)"
 if cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null \
    && cmake --build build-bench -j "${JOBS}" --target bench_pipeline_latency \
@@ -187,7 +188,8 @@ if cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null \
    && (cd build-bench && bench/bench_parallel_produce --quick --json) \
    && [ -s build-bench/BENCH_parallel_produce.json ] \
    && (cd build-bench && bench/bench_insert_sweep --quick --json) \
-   && [ -s build-bench/BENCH_insert_sweep.json ]; then
+   && python3 -c "import json, sys; d = json.load(open(sys.argv[1])); assert len(d['results']) == 4, d" \
+        build-bench/BENCH_insert_sweep.json; then
   echo "OK: build-bench/BENCH_{pipeline_latency,log_throughput,parallel_produce,insert_sweep}.json written"
 else
   fail "bench --json emission did not produce all JSON artifacts"

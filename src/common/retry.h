@@ -47,8 +47,8 @@ class Deadline {
 ///
 /// Classification: Unavailable (leader election in flight, ISR below
 /// min.insync), NotLeader (stale leadership metadata) and ResourceExhausted
-/// (staging-ring / quota backpressure) are transient — retry, refreshing
-/// metadata first for the leadership-related ones. Everything else
+/// (backpressure) are transient — retry, refreshing metadata first for the
+/// leadership-related ones. Everything else
 /// (InvalidArgument, Corruption, IOError, ...) fails fast: retrying cannot
 /// fix it and only hides the bug.
 struct RetryPolicy {

@@ -342,8 +342,7 @@ Status Broker::BecomeLeader(const TopicPartition& tp, const PartitionState& stat
   // restarted broker recovering from disk, or a follower just promoted —
   // must rebuild it, or every mid-stream idempotent producer is permanently
   // fenced with "out-of-order producer sequence". An incumbent leader keeps
-  // its in-memory map: it is a superset of the log under ring staging
-  // (staged-not-yet-drained batches are invisible to Read).
+  // its in-memory map, which already matches its log.
   if (replica.producer_last_seq.empty()) {
     LIQUID_RETURN_NOT_OK(RebuildProducerStateLocked(&replica));
   }
@@ -598,7 +597,6 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
   int64_t leo = 0;
   int64_t leader_hw = 0;
   bool group_sync = false;
-  bool ring_staged = false;
   storage::EncodedBatch batch;
   {
     ReaderMutexLock map_lock(&map_mu_);
@@ -645,24 +643,19 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
     }
     for (auto& record : records) record.leader_epoch = replica->leader_epoch;
     // Encode-once: the batch buffer produced here is the exact bytes on our
-    // disk, and the same buffer is forwarded to followers below. Under
-    // Staging::kRing, async_stage makes this a lock-free claim + encode +
-    // publish: the drainer appends later, and acknowledgment flows through
-    // AwaitAppended below (acks=all) or the high-watermark (acks<=1).
-    storage::AppendOptions append_options;
-    append_options.async_stage = true;
+    // disk, and the same buffer is forwarded to followers below.
     const int64_t pre_append_end = replica->log->end_offset();
-    auto batch_result = replica->log->AppendBatch(&records, append_options);
+    auto batch_result = replica->log->AppendBatch(&records);
     if (!batch_result.ok()) {
       // end_offset() advances only when the write itself committed, so it
       // distinguishes "batch never entered the log" from "batch is in the
       // log but its every-batch fsync failed" (phase 6). Only the former
-      // rolls the dedup window back: ring backpressure (ResourceExhausted)
-      // makes append rejections a normal, retriable event, and the retry of
-      // that batch must not be dropped as a duplicate. After a sync failure
-      // the records are readable in the log, so keeping the window advanced
-      // turns the producer's same-sequence resend into a duplicate-drop
-      // acknowledgment instead of a second, duplicating append.
+      // rolls the dedup window back: the producer retries a rejected append
+      // with the same sequence, which must not be dropped as a duplicate.
+      // After a sync failure the records are readable in the log, so keeping
+      // the window advanced turns the producer's same-sequence resend into a
+      // duplicate-drop acknowledgment instead of a second, duplicating
+      // append.
       const bool landed = replica->log->end_offset() > pre_append_end;
       if (advanced_seq && !landed) {
         if (prev_seq < 0) {
@@ -675,12 +668,7 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
     }
     batch = std::move(batch_result).value();
     base = batch.base_offset();
-    // The batch's own extent, not end_offset(): under ring staging the
-    // append may not have committed yet (end_offset() excludes staged runs);
-    // under the locked path the two are identical while replica->mu is held.
     leo = batch.last_offset() + 1;
-    ring_staged =
-        replica->log->config().staging == storage::Staging::kRing;
     broker_produce_records_->Increment(static_cast<int64_t>(records.size()));
     replica->append_records->Increment(static_cast<int64_t>(records.size()));
     if (acks != AckMode::kAll) {
@@ -725,7 +713,7 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
   // membership lock — which keeps the Replica (and its log) alive, since
   // erasing one needs map_mu_ exclusive — but NOT the replica lock, so
   // same-partition producers keep filling the window we are waiting on.
-  if ((ring_staged || group_sync) && acks == AckMode::kAll) {
+  if (group_sync) {
     ReaderMutexLock map_lock(&map_mu_);
     auto replica_result = FindReplicaShared(tp);
     if (replica_result.ok()) {
@@ -734,14 +722,7 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
         MutexLock lock(&(*replica_result)->mu);
         log = (*replica_result)->log.get();
       }
-      if (log != nullptr) {
-        // Ring staging: an acks=all acknowledgment asserts the leader
-        // actually appended the batch, so wait for the drainer to land it
-        // (per-slot completion surfaces through the committed/durable
-        // watermarks) before the durability wait below.
-        if (ring_staged) LIQUID_RETURN_NOT_OK(log->AwaitAppended(base, leo));
-        if (group_sync) LIQUID_RETURN_NOT_OK(log->AwaitDurable(leo));
-      }
+      if (log != nullptr) LIQUID_RETURN_NOT_OK(log->AwaitDurable(leo));
     }
   }
 
@@ -783,62 +764,11 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
   return result;
 }
 
-Status Broker::AppendAsFollower(const TopicPartition& tp,
-                                const std::vector<storage::Record>& records,
-                                int leader_epoch, int64_t leader_hw) {
-  // Chaos surface: a follower that drops/delays leader pushes — the leader
-  // reacts by shrinking the ISR, which is exactly what the soak verifies.
-  LIQUID_FAULT_POINT("broker.replicate.before_append");
-  ReaderMutexLock map_lock(&map_mu_);
-  LIQUID_ASSIGN_OR_RETURN(Replica * replica, FindReplicaShared(tp));
-  MutexLock lock(&replica->mu);
-  if (leader_epoch < replica->leader_epoch) {
-    return Status::FailedPrecondition("push from stale leader epoch");
-  }
-  replica->leader_epoch = leader_epoch;
-  if (records.empty()) return Status::OK();
-  const int64_t local_end = replica->log->end_offset();
-  if (records.front().offset > local_end) {
-    // We missed earlier data (e.g. we were out of the ISR); signal the leader
-    // so it shrinks the ISR; the pull path will catch us up.
-    return Status::OutOfRange("follower behind leader push");
-  }
-  std::vector<storage::Record> fresh;
-  for (const auto& record : records) {
-    if (record.offset >= local_end) fresh.push_back(record);
-  }
-  if (!fresh.empty()) {
-    const int64_t t0 = clock_->NowUs();
-    LIQUID_RETURN_NOT_OK(replica->log->AppendWithOffsets(fresh));
-    for (const auto& record : fresh) {
-      NoteEpochLocked(tp, replica, record.leader_epoch, record.offset);
-    }
-    replicated_records_->Increment(static_cast<int64_t>(fresh.size()));
-    replica->append_records->Increment(static_cast<int64_t>(fresh.size()));
-    TraceCollector* tracer = TraceCollector::Default();
-    if (tracer->enabled()) {
-      const int64_t now_us = clock_->NowUs();
-      for (const auto& record : fresh) {
-        if (!record.traced()) continue;
-        tracer->Record(Span{record.trace_id, tracer->NewSpanId(),
-                            record.span_id, t0, now_us, "replicate",
-                            tp.ToString() + " follower=" + std::to_string(id_)});
-      }
-    }
-  }
-  const int64_t new_hw =
-      std::min<int64_t>(leader_hw, replica->log->end_offset());
-  if (new_hw > replica->high_watermark) {
-    replica->high_watermark = new_hw;
-    StoreHighWatermarkLocked(tp, replica);
-  }
-  return Status::OK();
-}
-
 Status Broker::AppendEncodedAsFollower(const TopicPartition& tp,
                                        const storage::EncodedBatch& batch,
                                        int leader_epoch, int64_t leader_hw) {
-  // Same chaos surface as AppendAsFollower for the encode-once push path.
+  // Chaos surface: a follower that drops/delays leader pushes — the leader
+  // reacts by shrinking the ISR, which is exactly what the soak verifies.
   LIQUID_FAULT_POINT("broker.replicate.before_append");
   ReaderMutexLock map_lock(&map_mu_);
   LIQUID_ASSIGN_OR_RETURN(Replica * replica, FindReplicaShared(tp));
@@ -914,7 +844,7 @@ Status Broker::BeginPartitionTxn(const TopicPartition& tp, int64_t pid) {
 
 Status Broker::WriteTxnMarker(const TopicPartition& tp, int64_t pid,
                               bool committed) {
-  std::vector<storage::Record> marker;
+  storage::EncodedBatch marker;
   std::vector<int> targets;
   int epoch = 0;
   int64_t leo = 0;
@@ -928,16 +858,17 @@ Status Broker::WriteTxnMarker(const TopicPartition& tp, int64_t pid,
     if (it == replica->ongoing_txns.end()) {
       return Status::NotFound("no ongoing txn for pid " + std::to_string(pid));
     }
-    marker.push_back(storage::Record::ControlMarker(pid, committed));
-    marker[0].leader_epoch = replica->leader_epoch;
-    auto base = replica->log->Append(&marker);
-    if (!base.ok()) return base.status();
+    std::vector<storage::Record> records{
+        storage::Record::ControlMarker(pid, committed)};
+    records[0].leader_epoch = replica->leader_epoch;
+    // Encode-once, as on the produce path: followers land these exact bytes.
+    LIQUID_ASSIGN_OR_RETURN(marker, replica->log->AppendBatch(&records));
     if (!committed) {
       replica->aborted_ranges.push_back(
-          AbortedRange{pid, it->second, marker.front().offset});
+          AbortedRange{pid, it->second, marker.base_offset()});
     }
     replica->ongoing_txns.erase(it);
-    leo = replica->log->end_offset();
+    leo = marker.last_offset() + 1;
     for (int member : replica->isr) {
       if (member != id_) targets.push_back(member);
     }
@@ -952,7 +883,7 @@ Status Broker::WriteTxnMarker(const TopicPartition& tp, int64_t pid,
   for (int member : targets) {
     Broker* follower = cluster_->broker(member);
     if (follower != nullptr &&
-        follower->AppendAsFollower(tp, marker, epoch, hw).ok()) {
+        follower->AppendEncodedAsFollower(tp, marker, epoch, hw).ok()) {
       reached.push_back(member);
     }
   }
@@ -1020,11 +951,6 @@ Result<FetchResponse> Broker::Fetch(const TopicPartition& tp, int64_t offset,
       resp.next_fetch_offset =
           resp.batch.empty() ? offset : resp.batch.last_offset() + 1;
     } else {
-      // Under ring staging the high watermark only moves when something
-      // observes the drainer's progress; advancing it on the consumer fetch
-      // path keeps a quiet partition's tail visible without waiting for the
-      // next produce or replica fetch. (No-op when already current.)
-      AdvanceHighWatermarkLocked(tp, replica);
       // Consumers see only committed data; read_committed additionally hides
       // data of ongoing transactions (LSO clamp), aborted data and markers.
       const int64_t visibility_bound = read_committed

@@ -148,14 +148,10 @@ class Broker {
 
   // ---- Replication ----
 
-  /// Push-path append from the leader (synchronous acks=all replication).
-  Status AppendAsFollower(const TopicPartition& tp,
-                          const std::vector<storage::Record>& records,
-                          int leader_epoch, int64_t leader_hw);
-
-  /// Encode-once push path: the leader forwards the exact bytes it appended
-  /// locally; frames already stored here (offset < local end) are skipped by
-  /// slicing the shared buffer, never by re-encoding.
+  /// Push-path append from the leader (synchronous acks=all replication and
+  /// transaction markers). Encode-once: the leader forwards the exact bytes
+  /// it appended locally; frames already stored here (offset < local end)
+  /// are skipped by slicing the shared buffer, never by re-encoding.
   Status AppendEncodedAsFollower(const TopicPartition& tp,
                                  const storage::EncodedBatch& batch,
                                  int leader_epoch, int64_t leader_hw);

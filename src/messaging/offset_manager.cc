@@ -139,9 +139,9 @@ Status OffsetManager::Persist(const std::string& key,
   std::vector<storage::Record> batch;
   batch.push_back(storage::Record::KeyValue(key, EncodeCommit(commit)));
   // Unified retry discipline (DESIGN.md §7): transient append verdicts
-  // (staging-ring backpressure surfacing as ResourceExhausted, injected
-  // Unavailable) back off and retry; IOError/Corruption fail fast so a sick
-  // disk is reported, not papered over. Commits are rare and the manager is
+  // (injected Unavailable or ResourceExhausted) back off and retry;
+  // IOError/Corruption fail fast so a sick disk is reported, not papered
+  // over. Commits are rare and the manager is
   // logically centralized, so sleeping briefly under mu_ here only delays
   // other offset traffic of the same coordinator — never a broker data path.
   RetryState retry(retry_policy_, clock_, Deadline::Infinite(),

@@ -105,8 +105,8 @@ class OffsetManager {
 
   std::unique_ptr<storage::Log> log_;
   Clock* const clock_;
-  /// Commit appends retry transient backing-log verdicts (staging-ring
-  /// backpressure, injected Unavailable) with the unified backoff; real
+  /// Commit appends retry transient backing-log verdicts (injected
+  /// Unavailable or ResourceExhausted) with the unified backoff; real
   /// I/O errors still fail fast (DESIGN.md §7). Offset commits are small
   /// and rare relative to produces, so the bounded in-lock retry is cheaper
   /// than surfacing every transient hiccup to all consumers of the group.

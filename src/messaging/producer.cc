@@ -252,10 +252,9 @@ Result<ProduceResponse> Producer::SendBatch(
       return resp;
     }
     last_error = resp.status();
-    // ResourceExhausted is the staging ring's backpressure verdict
-    // (LogConfig::staging == ring): the broker never sleeps; RetryState backs
-    // off on the producer's thread — same convention as quota throttling.
-    // Non-retriable codes and an exhausted budget both land here.
+    // Retriable verdicts (RetryPolicy::IsRetriable) back off on the
+    // producer's thread — the broker never sleeps, same convention as quota
+    // throttling. Non-retriable codes and an exhausted budget both land here.
     if (!retry.ShouldRetry(last_error)) return last_error;
     {
       MutexLock lock(&mu_);

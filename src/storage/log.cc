@@ -15,11 +15,7 @@ Log::Log(Disk* disk, PageCache* cache, std::string name_prefix, LogConfig config
       cache_(cache),
       name_prefix_(std::move(name_prefix)),
       config_(config),
-      clock_(clock),
-      staging_(config.staging == Staging::kRing
-                   ? std::make_unique<MpscRing<EncodedBatch>>(
-                         config.staging_capacity)
-                   : nullptr) {
+      clock_(clock) {
   // Hot-path metric handles, resolved once: registry entries are never
   // erased, so the fetch/append paths skip the name lookup entirely.
   std::string instance = name_prefix_;
@@ -30,15 +26,8 @@ Log::Log(Disk* disk, PageCache* cache, std::string name_prefix, LogConfig config
   fetch_copied_bytes_ = global->GetCounter(prefix + "fetch_copied_bytes");
   group_commit_batches_ = global->GetCounter(prefix + "group_commit_batches");
   group_commit_syncs_ = global->GetCounter(prefix + "group_commit_syncs");
-  staging_depth_ = global->GetGauge(prefix + "staging_depth");
-  staging_ring_full_ = global->GetCounter(prefix + "staging_ring_full_total");
-  staging_drained_batches_ =
-      global->GetCounter(prefix + "staging_drained_batches");
-  staging_occupancy_sum_ = global->GetCounter(prefix + "staging_occupancy_sum");
   producer_append_mu_acquisitions_ =
       global->GetCounter(prefix + "producer_append_mu_acquisitions");
-  group_commit_ledger_evictions_ =
-      global->GetCounter(prefix + "group_commit_ledger_evictions");
 }
 
 Log::~Log() {
@@ -56,10 +45,9 @@ Result<std::unique_ptr<Log>> Log::Open(Disk* disk, PageCache* cache,
                                        const LogConfig& config, Clock* clock) {
   std::unique_ptr<Log> log(new Log(disk, cache, name_prefix, config, clock));
   LIQUID_RETURN_NOT_OK(log->OpenExisting());
-  if (config.sync_mode == SyncMode::kGroup || config.staging == Staging::kRing) {
-    // Only group mode (committer) and ring staging (drainer — the same
-    // thread, so staging adds no new lock level) pay for a thread;
-    // metadata-scale logs (kNone + kOff, the default) start nothing.
+  if (config.sync_mode == SyncMode::kGroup) {
+    // Only group mode pays for a committer thread; metadata-scale logs
+    // (kNone, the default) start nothing.
     log->committer_ = std::thread([raw = log.get()] { raw->CommitterLoop(); });
   }
   return log;
@@ -102,9 +90,6 @@ Status Log::OpenExisting() {
   // definition the durable state, so the bookkeeping restarts at the
   // recovered end (acknowledgments were only ever given for synced bytes).
   durable_offset_ = next_offset_;
-  // Single-threaded here (the Log has not been published yet), so resetting
-  // the ring directly is safe.
-  if (staging_ != nullptr) staging_->Reset(next_offset_);
   return Status::OK();
 }
 
@@ -118,33 +103,11 @@ Status Log::RollLocked(int64_t base_offset) {
   return Status::OK();
 }
 
-Status Log::AppendRecordsLocked(const std::vector<Record>& records) {
+Status Log::AppendBatchLocked(const EncodedBatch& batch) {
   // Large batches are split at segment boundaries so that a single huge
   // append (e.g. a changelog flush) still produces closed segments that
-  // retention and compaction can work on.
-  size_t i = 0;
-  while (i < records.size()) {
-    if (ActiveLocked()->size_bytes() >= config_.segment_bytes) {
-      LIQUID_RETURN_NOT_OK(RollLocked(records[i].offset));
-    }
-    uint64_t bytes = ActiveLocked()->size_bytes();
-    size_t j = i;
-    while (j < records.size()) {
-      const uint64_t record_bytes = records[j].EncodedSize();
-      if (j > i && bytes + record_bytes > config_.segment_bytes) break;
-      bytes += record_bytes;
-      ++j;
-    }
-    const std::vector<Record> chunk(records.begin() + i, records.begin() + j);
-    LIQUID_RETURN_NOT_OK(ActiveLocked()->Append(chunk));
-    i = j;
-  }
-  return Status::OK();
-}
-
-Status Log::AppendBatchLocked(const EncodedBatch& batch) {
-  // Same segment-boundary splitting as AppendRecordsLocked, but by frame:
-  // each chunk is a cheap view into the shared buffer, never a re-encode.
+  // retention and compaction can work on. Each chunk is a cheap view into
+  // the shared buffer, never a re-encode.
   const std::vector<BatchFrame>& frames = batch.frames();
   size_t i = 0;
   while (i < frames.size()) {
@@ -168,118 +131,15 @@ Status Log::AppendBatchLocked(const EncodedBatch& batch) {
 }
 
 void Log::DrainAppendsLocked() {
-  if (staging_ != nullptr) {
-    // Close the claim gate first: new producers fail with kClosed (async
-    // callers surface backpressure, synchronous ones wait on append_cv_ for
-    // the reopen), while already-claimed runs still publish and drain.
-    staging_->Close();
-    committer_cv_.Signal();
-    append_cv_.Wait([this]() REQUIRES(append_mu_) {
-      return committed_offset_ >= staging_->reserved();
-    });
-    return;
-  }
   append_cv_.Wait([this]() REQUIRES(append_mu_) {
     return committed_offset_ == reserved_offset_;
   });
 }
 
-void Log::ReopenStagingLocked() {
-  if (staging_ == nullptr) return;
-  int64_t next = 0;
-  {
-    ReaderMutexLock lock(&mu_);
-    next = next_offset_;
-  }
-  // Quiescence holds: the gate has been closed since DrainAppendsLocked and
-  // the caller held append_mu_ throughout, so the ring is empty and no
-  // producer can claim until the Reset below reopens it.
-  staging_->Reset(next);
-  reserved_offset_ = next;
-  committed_offset_ = next;
-  staging_depth_->Set(0);
-  // Wake synchronous producers parked on the closed gate (AppendBatchStaged).
-  append_cv_.SignalAll();
-}
-
-void Log::RecordAppendFailureLocked(int64_t begin, int64_t end, Status status) {
-  // A bounded ledger: waiters are signalled at record time, so an evicted
-  // entry can only affect a waiter that was already asleep for 64 further
-  // failures — it then reports success for a gap, which the reader observes
-  // as missing offsets (legal in this log) rather than corrupt data.
-  constexpr size_t kMaxAppendFailures = 64;
-  append_failures_.push_back(AppendFailure{begin, end, status});
-  if (append_failures_.size() > kMaxAppendFailures) {
-    append_failures_.erase(append_failures_.begin());
-    // Saturation is observable (DESIGN.md §6c): an evicted entry downgrades
-    // its range from "known failed" to "unacknowledged, not absent", so a
-    // nonzero eviction count tells the operator which logs ran hot enough
-    // for the ledger to wrap.
-    group_commit_ledger_evictions_->Increment();
-  }
-  if (config_.sync_mode == SyncMode::kGroup && sync_failed_upto_ < end) {
-    // AwaitDurable waiters covering the failed range must not wait for a
-    // durable watermark that can never reach them; fold the failure into the
-    // group-commit failed-window convention.
-    sync_failed_upto_ = end;
-    last_sync_error_ = std::move(status);
-  }
-  durable_cv_.SignalAll();
-}
-
-const Log::AppendFailure* Log::FailureOverlappingLocked(int64_t base,
-                                                        int64_t end) const {
-  for (const AppendFailure& failure : append_failures_) {
-    if (failure.begin < end && failure.end > base) return &failure;
-  }
-  return nullptr;
-}
-
-bool Log::AppendedLocked(int64_t end) const {
-  // kEveryBatch's contract is durability on return, so staged waiters hold
-  // out for the drainer's per-batch fsync, not just the append.
-  if (config_.sync_mode == SyncMode::kEveryBatch) {
-    return durable_offset_ >= end;
-  }
-  return committed_offset_ >= end;
-}
-
-Status Log::AwaitAppended(int64_t base_offset, int64_t end_offset) {
-  MutexLock lock(&append_mu_);
-  // liquid-lint: allow(hot-block): the staged-append acknowledgment wait IS the product semantic — acks=all produce and synchronous legacy callers block until the drainer has landed their offsets; the async produce path never calls this (DESIGN.md section 5a).
-  durable_cv_.Wait([this, base_offset, end_offset]() REQUIRES(append_mu_) {
-    return AppendedLocked(end_offset) ||
-           FailureOverlappingLocked(base_offset, end_offset) != nullptr ||
-           committer_stop_;
-  });
-  if (const AppendFailure* failure =
-          FailureOverlappingLocked(base_offset, end_offset)) {
-    return failure->status;
-  }
-  if (AppendedLocked(end_offset)) return Status::OK();
-  return Status::Aborted("log closing before the batch was appended");
-}
-
-void Log::WakeDrainer() {
-  // order: the seq_cst fence pairs with the drainer's fence between setting
-  // drainer_parked_ and re-checking the ring (DrainerLoop phase C): either
-  // this thread observes parked and signals under the mutex, or the
-  // drainer's predicate check observes the freshly published run. Without
-  // the fences both sides could read stale values and the wakeup would be
-  // lost.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  // relaxed: the fence above carries the ordering.
-  if (drainer_parked_.load(std::memory_order_relaxed)) {
-    MutexLock lock(&append_mu_);
-    producer_append_mu_acquisitions_->Increment();
-    committer_cv_.Signal();
-  }
-}
-
 Status Log::SyncDirtySegments() const {
   // Chaos surface (DESIGN.md §7): a failing or stalling fsync. Group-commit
-  // windows fold the injected error into the failed-window ledger; every-
-  // batch callers see it inline — both must keep the ack contract honest.
+  // windows fold the injected error into sync_failed_upto_; every-batch
+  // callers see it inline — both must keep the ack contract honest.
   LIQUID_FAULT_POINT("log.sync.before");
   ReaderMutexLock lock(&mu_);
   for (const auto& segment : segments_) {
@@ -292,13 +152,6 @@ Status Log::SyncDirtySegments() const {
 }
 
 void Log::CommitterLoop() {
-  if (staging_ != nullptr) {
-    // Ring staging unifies the drainer with the committer thread: one thread
-    // owns ordered commit AND the group-commit window, so no new lock level
-    // appears (DESIGN.md section 5a).
-    DrainerLoop();
-    return;
-  }
   while (true) {
     int64_t target = 0;
     bool stopping = false;
@@ -341,119 +194,6 @@ void Log::CommitterLoop() {
   }
 }
 
-void Log::GroupWindowOnce() {
-  int64_t target = 0;
-  {
-    MutexLock lock(&append_mu_);
-    // A failed window is not retried until new runs commit past it; its
-    // waiters were already failed via sync_failed_upto_ (same convention as
-    // CommitterLoop).
-    if (committed_offset_ <= durable_offset_ ||
-        committed_offset_ <= sync_failed_upto_) {
-      return;
-    }
-    target = committed_offset_;
-  }
-  // One fsync covers every run committed since the previous window
-  // (snapshot-then-call: no append_mu_ held across the sync).
-  const Status st = SyncDirtySegments();
-  MutexLock lock(&append_mu_);
-  if (st.ok()) {
-    if (durable_offset_ < target) durable_offset_ = target;
-    if (sync_failed_upto_ <= target) {
-      sync_failed_upto_ = 0;
-      last_sync_error_ = Status::OK();
-    }
-    group_commit_syncs_->Increment();
-  } else {
-    if (sync_failed_upto_ < target) sync_failed_upto_ = target;
-    last_sync_error_ = st;
-  }
-  durable_cv_.SignalAll();
-}
-
-void Log::DrainerLoop() {
-  for (;;) {
-    int64_t cursor = 0;
-    {
-      MutexLock lock(&append_mu_);
-      // Re-read every round: a mutation (truncate/retention) may have
-      // resynced the pipeline while we were parked.
-      cursor = committed_offset_;
-    }
-    // Phase A: consume every published run, appending in offset order and
-    // advancing the same watermarks the locked pipeline uses.
-    EncodedBatch batch;
-    int64_t count = 0;
-    while (staging_->TryConsume(cursor, &count, &batch)) {
-      staging_drained_batches_->Increment();
-      // Occupancy at drain time includes the run being drained (TryConsume
-      // already freed its slots).
-      staging_occupancy_sum_->Increment(staging_->depth() + count);
-      staging_depth_->Set(staging_->depth());
-      Status write_status;
-      {
-        WriterMutexLock lock(&mu_);
-        write_status = AppendBatchLocked(batch);
-        if (write_status.ok()) next_offset_ = batch.last_offset() + 1;
-      }
-      const int64_t end = cursor + count;
-      {
-        // Committed advances even on a write error — the failed range
-        // becomes an offset gap (legal in this log) and its waiters get the
-        // status from the failure ledger.
-        MutexLock lock(&append_mu_);
-        committed_offset_ = end;
-        reserved_offset_ = end;  // Kept mirrored for diagnostics.
-        if (!write_status.ok()) {
-          RecordAppendFailureLocked(cursor, end, write_status);
-        } else if (config_.sync_mode == SyncMode::kGroup) {
-          group_commit_batches_->Increment();
-        }
-        append_cv_.SignalAll();
-        durable_cv_.SignalAll();
-      }
-      if (write_status.ok() && config_.sync_mode == SyncMode::kEveryBatch) {
-        // every_batch's contract is one fsync per batch; the drainer pays it
-        // on the producers' behalf before their AwaitAppended returns.
-        const Status sync_status = SyncDirtySegments();
-        MutexLock lock(&append_mu_);
-        if (sync_status.ok()) {
-          if (durable_offset_ < end) durable_offset_ = end;
-        } else {
-          RecordAppendFailureLocked(cursor, end, sync_status);
-        }
-        durable_cv_.SignalAll();
-      }
-      cursor = end;
-      batch = EncodedBatch();  // Drop the buffer reference promptly.
-    }
-    // Phase B: group-commit window over the runs just committed.
-    if (config_.sync_mode == SyncMode::kGroup) GroupWindowOnce();
-    // Phase C: park until a new run is published (or group work appears) or
-    // the log stops. Draining before exit keeps the destructor's best-effort
-    // sync contract.
-    {
-      MutexLock lock(&append_mu_);
-      if (committer_stop_) {
-        if (!staging_->PeekReady(committed_offset_)) return;
-        continue;  // A run landed late; drain it before exiting.
-      }
-      drainer_parked_.store(true, std::memory_order_relaxed);
-      // order: the seq_cst fence pairs with the producer-side fence in
-      // WakeDrainer — see the lost-wakeup argument there.
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      committer_cv_.Wait([this]() REQUIRES(append_mu_) {
-        return committer_stop_ || staging_->PeekReady(committed_offset_) ||
-               (config_.sync_mode == SyncMode::kGroup &&
-                committed_offset_ > durable_offset_ &&
-                committed_offset_ > sync_failed_upto_);
-      });
-      drainer_parked_.store(false, std::memory_order_relaxed);
-    }
-  }
-}
-
 Status Log::AwaitDurable(int64_t end_offset) {
   MutexLock lock(&append_mu_);
   // liquid-lint: allow(hot-block): the durability wait IS the product semantic of acks=all under sync_mode=group — the caller asked to block until its offsets are fsynced, bounded by one committer sync window (DESIGN.md section 6c).
@@ -481,10 +221,8 @@ Result<int64_t> Log::Append(std::vector<Record>* records) {
 Result<EncodedBatch> Log::AppendBatch(std::vector<Record>* records,
                                       const AppendOptions& options) {
   if (records->empty()) return Status::InvalidArgument("empty append");
-  // Chaos surface: reject/delay the append before any offset is reserved,
-  // covering the locked and ring-staged paths alike.
+  // Chaos surface: reject/delay the append before any offset is reserved.
   LIQUID_FAULT_POINT("log.append.before");
-  if (staging_ != nullptr) return AppendBatchStaged(records, options);
 
   // Phase 1: reserve the offset range (short critical section).
   int64_t base;
@@ -563,103 +301,11 @@ Result<EncodedBatch> Log::AppendBatch(std::vector<Record>* records,
   return batch;
 }
 
-Result<EncodedBatch> Log::AppendBatchStaged(std::vector<Record>* records,
-                                            const AppendOptions& options) {
-  const int64_t n = static_cast<int64_t>(records->size());
-  if (n > static_cast<int64_t>(staging_->capacity())) {
-    return Status::InvalidArgument("batch exceeds staging ring capacity");
-  }
-
-  // Claim the offset range with a single CAS — no mutex on the common path.
-  int64_t base = 0;
-  for (;;) {
-    const auto claim = staging_->Claim(n, &base);
-    if (claim == MpscRing<EncodedBatch>::ClaimResult::kOk) break;
-    if (options.async_stage) {
-      // The broker-produce path: surface backpressure to the client-side
-      // throttle/retry convention instead of ever sleeping broker-side.
-      staging_ring_full_->Increment();
-      return Status::ResourceExhausted(
-          claim == MpscRing<EncodedBatch>::ClaimResult::kFull
-              ? "staging ring full; retry after backoff"
-              : "staging ring gated by a log mutation; retry after backoff");
-    }
-    // Synchronous-compatibility callers keep their Staging::kOff semantics:
-    // they would have blocked on append_mu_, so block here until the drainer
-    // frees slots (kFull) or the mutator reopens the gate (kClosed).
-    if (claim == MpscRing<EncodedBatch>::ClaimResult::kFull) {
-      staging_ring_full_->Increment();
-    }
-    MutexLock lock(&append_mu_);
-    producer_append_mu_acquisitions_->Increment();
-    // liquid-lint: allow(hot-block): synchronous-compatibility wait — these callers block exactly where Staging::kOff would have blocked them on append_mu_; the async produce hot path returns ResourceExhausted above instead of waiting.
-    append_cv_.Wait([this, n]() REQUIRES(append_mu_) {
-      // Wake once the gate is open AND the ring has room for this run (the
-      // drainer signals append_cv_ on every commit, the mutator on reopen).
-      // Another claimer may still race us to the room; the outer loop
-      // re-claims.
-      if (committer_stop_) return true;
-      if (staging_->closed()) return false;
-      return staging_->reserved() + n - staging_->consumed() <=
-             static_cast<int64_t>(staging_->capacity());
-    });
-    if (committer_stop_) {
-      return Status::Aborted("log closing before the batch was staged");
-    }
-  }
-
-  // Stamp and encode with no lock held and final offsets assigned (CRCs
-  // cover the offset field) — the same overlap the locked path's phase 2
-  // gives concurrent appenders.
-  const int64_t now = clock_->NowMs();
-  int64_t offset = base;
-  for (Record& record : *records) {
-    record.offset = offset++;
-    if (record.timestamp_ms == 0) record.timestamp_ms = now;
-  }
-  EncodedBatch batch = EncodedBatch::Encode(*records);
-
-  // Publish the run: one release store makes it visible to the drainer. The
-  // stored copy shares the encoded buffer with the returned batch (frames
-  // are cheap views).
-  staging_->Publish(base, n, batch);
-  staging_depth_->Set(staging_->depth());
-  WakeDrainer();
-
-  const int64_t end = base + n;
-  if (!options.async_stage) {
-    // Synchronous compatibility: the caller observes the append result and
-    // end_offset() visibility on return, exactly like Staging::kOff.
-    LIQUID_RETURN_NOT_OK(AwaitAppended(base, end));
-    if (config_.sync_mode == SyncMode::kGroup && options.await_durability) {
-      LIQUID_RETURN_NOT_OK(AwaitDurable(end));
-    }
-  }
-  return batch;
-}
-
-Status Log::AppendWithOffsets(const std::vector<Record>& records) {
-  if (records.empty()) return Status::OK();
-  MutexLock pipeline_lock(&append_mu_);
-  StagingDrain staging_drain(this);
-  WriterMutexLock lock(&mu_);
-  if (records.front().offset < next_offset_) {
-    return Status::InvalidArgument("offsets overlap existing log");
-  }
-  LIQUID_RETURN_NOT_OK(AppendRecordsLocked(records));
-  next_offset_ = records.back().offset + 1;
-  reserved_offset_ = next_offset_;
-  committed_offset_ = next_offset_;
-  // Follower/replication appends feed the same group-commit window.
-  if (config_.sync_mode == SyncMode::kGroup) committer_cv_.Signal();
-  return Status::OK();
-}
-
 Status Log::AppendEncoded(const EncodedBatch& batch) {
   if (batch.empty()) return Status::OK();
   const int64_t end = batch.last_offset() + 1;
   MutexLock pipeline_lock(&append_mu_);
-  StagingDrain staging_drain(this);
+  DrainAppendsLocked();
   {
     WriterMutexLock lock(&mu_);
     if (batch.base_offset() < next_offset_) {
@@ -702,10 +348,15 @@ Status Log::Read(int64_t offset, size_t max_bytes,
     for (size_t i = before; i < out->size(); ++i) {
       gathered += (*out)[i].EncodedSize();
     }
-    if (!out->empty()) offset = out->back().offset + 1;
+    // Move on only when this segment contributed nothing (compaction can
+    // leave one empty of qualifying records) or was read to its end. A read
+    // that stopped on the byte budget mid-segment ends the reply here: the
+    // next segment would add a record past the unread rest of this one.
+    if (out->size() > before) {
+      offset = out->back().offset + 1;
+      if (offset < (*it)->next_offset()) break;
+    }
     ++it;
-    // Compaction can leave a segment empty of qualifying records; continue to
-    // the next segment in that case (gathered unchanged).
   }
   return Status::OK();
 }
@@ -738,9 +389,14 @@ Status Log::ReadEncoded(int64_t offset, size_t max_bytes,
   std::string bytes;
   std::vector<BatchFrame> frames;
   while (it != segments_.end() && bytes.size() < max_bytes) {
+    const size_t before = frames.size();
     LIQUID_RETURN_NOT_OK(
         (*it)->ReadEncoded(offset, max_bytes - bytes.size(), &bytes, &frames));
-    if (!frames.empty()) offset = frames.back().offset + 1;
+    // Same segment-boundary rule as Read.
+    if (frames.size() > before) {
+      offset = frames.back().offset + 1;
+      if (offset < (*it)->next_offset()) break;
+    }
     ++it;
   }
   fetch_copied_bytes_->Increment(static_cast<int64_t>(bytes.size()));
@@ -786,7 +442,7 @@ int Log::segment_count() const {
 
 Status Log::Truncate(int64_t offset) {
   MutexLock pipeline_lock(&append_mu_);
-  StagingDrain staging_drain(this);
+  DrainAppendsLocked();
   WriterMutexLock lock(&mu_);
   const auto resync = [this]() REQUIRES(append_mu_, mu_) {
     reserved_offset_ = next_offset_;
@@ -856,7 +512,7 @@ Status Log::Truncate(int64_t offset) {
 
 Result<int> Log::ApplyRetention() {
   MutexLock pipeline_lock(&append_mu_);
-  StagingDrain staging_drain(this);
+  DrainAppendsLocked();
   WriterMutexLock lock(&mu_);
   const int64_t now = clock_->NowMs();
   int deleted = 0;
@@ -884,7 +540,7 @@ Result<int> Log::ApplyRetention() {
 
 Result<CompactionStats> Log::Compact() {
   MutexLock pipeline_lock(&append_mu_);
-  StagingDrain staging_drain(this);
+  DrainAppendsLocked();
   WriterMutexLock lock(&mu_);
   CompactionStats stats;
   if (!config_.compaction_enabled || segments_.size() < 2) return stats;

@@ -1,7 +1,6 @@
 #ifndef LIQUID_STORAGE_LOG_H_
 #define LIQUID_STORAGE_LOG_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -10,7 +9,6 @@
 
 #include "common/clock.h"
 #include "common/metrics.h"
-#include "common/mpsc_ring.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -38,21 +36,6 @@ enum class SyncMode {
   kGroup,
 };
 
-/// How producer batches reach the append pipeline (DESIGN.md §5a).
-enum class Staging {
-  /// Producers run the reserve → encode → ordered-commit pipeline themselves,
-  /// serializing on append_mu_ for reservation and commit. The byte-identical
-  /// reference path.
-  kOff,
-  /// Producers claim offsets from a bounded lock-free MPSC ring with one CAS,
-  /// encode and publish with no mutex touch, and a single drainer (the
-  /// committer thread) appends in offset order and advances
-  /// committed_offset_/durable_offset_ exactly as the locked path does. A
-  /// full ring surfaces ResourceExhausted backpressure (client-side throttle
-  /// convention — the broker never sleeps).
-  kRing,
-};
-
 /// Per-log (i.e. per topic-partition) configuration, mirroring Kafka's
 /// segment / retention / compaction knobs the paper discusses in §4.1.
 struct LogConfig {
@@ -72,12 +55,6 @@ struct LogConfig {
   bool compaction_drops_tombstones = false;
   /// Durability of the append path; see SyncMode.
   SyncMode sync_mode = SyncMode::kNone;
-  /// Producer-side staging of the append path; see Staging.
-  Staging staging = Staging::kOff;
-  /// Staging ring capacity in records (rounded up to a power of two). Bounds
-  /// both producer run-ahead and the drainer's backlog; a batch larger than
-  /// this is rejected outright under Staging::kRing.
-  size_t staging_capacity = 4096;
 };
 
 /// Per-append knobs for Log::AppendBatch.
@@ -88,14 +65,6 @@ struct AppendOptions {
   /// return then means the batch was NOT acknowledged durable — it may or
   /// may not survive a crash.
   bool await_durability = false;
-  /// Under Staging::kRing, return as soon as the batch is claimed, encoded
-  /// and published to the ring — before the drainer has appended it. The
-  /// returned batch carries final offsets; callers that need to observe the
-  /// append result (or the records' visibility via end_offset()) call
-  /// AwaitAppended(base, end). Ignored under Staging::kOff, where AppendBatch
-  /// is always synchronous. Default off so legacy callers (transaction
-  /// markers, compaction tests, Append()) keep their synchronous contract.
-  bool async_stage = false;
 };
 
 /// Outcome of one compaction pass, reported for the E4 bench.
@@ -119,13 +88,8 @@ struct CompactionStats {
 /// in reservation order under the exclusive lock. Concurrent appenders thus
 /// overlap their encoding work instead of serializing on it. Truncation,
 /// retention and compaction drain the pipeline first; reads are shared.
-///
-/// Under LogConfig::staging == Staging::kRing the reservation mutex leaves
-/// the producer path entirely: producers claim offsets from a bounded
-/// lock-free MPSC ring (common/mpsc_ring.h) with a single CAS, encode and
-/// publish without any lock, and the committer thread drains the ring in
-/// offset order, appending and advancing the same watermarks the locked
-/// pipeline uses. Acked byte streams are identical between the two modes.
+/// This pipeline is the only producer path; followers land the leader's
+/// bytes verbatim through AppendEncoded.
 class Log {
  public:
   /// Opens the log stored under `name_prefix` (e.g. "events-0/"), recovering
@@ -174,22 +138,10 @@ class Log {
   /// would block until the log closes).
   Status AwaitDurable(int64_t end_offset) EXCLUDES(append_mu_);
 
-  /// Blocks until the staged batch covering [base_offset, end_offset) has
-  /// been appended by the drainer (and, under SyncMode::kEveryBatch, fsynced
-  /// — that mode's per-batch durability contract). Returns the append/sync
-  /// error if the drainer failed inside that range; the batch is then
-  /// unacknowledged, not necessarily absent (same semantics as a failed
-  /// group sync). Instant under Staging::kOff, where AppendBatch already
-  /// committed before returning.
-  Status AwaitAppended(int64_t base_offset, int64_t end_offset)
-      EXCLUDES(append_mu_);
-
-  /// Appends records that already carry offsets (replication path: followers
-  /// copy the leader's records verbatim, preserving offsets and gaps).
-  Status AppendWithOffsets(const std::vector<Record>& records);
-
   /// Appends a pre-encoded batch carrying offsets (encode-once replication
-  /// path: the leader's bytes land on the follower's disk verbatim).
+  /// path: the leader's bytes land on the follower's disk verbatim, preserving
+  /// offsets and gaps). Under SyncMode::kEveryBatch the bytes are fsynced
+  /// before returning, mirroring the leader's ack contract.
   Status AppendEncoded(const EncodedBatch& batch);
 
   /// Reads records with offset in [offset, min(end, offset+...)), gathering up
@@ -229,50 +181,18 @@ class Log {
   const LogConfig& config() const { return config_; }
 
  private:
-  /// The staging-drain failure ledger entry: the drainer could not append or
-  /// fsync offsets [begin, end); waiters overlapping it get `status`.
-  struct AppendFailure {
-    int64_t begin = 0;
-    int64_t end = 0;
-    Status status;
-  };
-
-  /// RAII pipeline quiescer for mutators (truncate/retention/compaction and
-  /// the follower append paths). Construction drains the append pipeline —
-  /// under Staging::kRing it first closes the ring's claim gate so no new
-  /// batch can slip in; destruction reopens the ring at next_offset_ and
-  /// resyncs the pipeline counters. The caller holds append_mu_ across the
-  /// object's whole lifetime (scope order: append_mu_ lock, StagingDrain,
-  /// WriterMutexLock — so the destructor runs with append_mu_ held and mu_
-  /// released).
-  class StagingDrain {
-   public:
-    // Thread-safety analysis cannot express "append_mu_ held across the
-    // object lifetime" on a non-scoped-capability type; the single callers'
-    // lock scopes above guarantee it.
-    explicit StagingDrain(Log* log) NO_THREAD_SAFETY_ANALYSIS : log_(log) {
-      log_->DrainAppendsLocked();
-    }
-    ~StagingDrain() NO_THREAD_SAFETY_ANALYSIS { log_->ReopenStagingLocked(); }
-    StagingDrain(const StagingDrain&) = delete;
-    StagingDrain& operator=(const StagingDrain&) = delete;
-
-   private:
-    Log* const log_;
-  };
-
   Log(Disk* disk, PageCache* cache, std::string name_prefix, LogConfig config,
       Clock* clock);
 
   Status OpenExisting();
   Status RollLocked(int64_t base_offset) REQUIRES(mu_);
   LogSegment* ActiveLocked() REQUIRES(mu_) { return segments_.back().get(); }
-  Status AppendRecordsLocked(const std::vector<Record>& records) REQUIRES(mu_);
   Status AppendBatchLocked(const EncodedBatch& batch) REQUIRES(mu_);
 
-  /// Blocks until no append reservation is outstanding. Callers hold
-  /// append_mu_ through their whole mutation so no new reservation can slip
-  /// in, then resync the pipeline counters to next_offset_ when done.
+  /// Blocks until no append reservation is outstanding. Mutators
+  /// (truncation, retention, compaction, follower appends) hold append_mu_
+  /// through their whole mutation so no new reservation can slip in, then
+  /// resync the pipeline counters to next_offset_ when they moved it.
   void DrainAppendsLocked() REQUIRES(append_mu_);
 
   /// Flushes every dirty segment under the shared log lock. Appends are
@@ -281,52 +201,7 @@ class Log {
 
   /// Group-commit committer: waits for committed-but-not-durable batches,
   /// syncs them with one fsync per window, publishes durable_offset_.
-  /// Under Staging::kRing the same thread is the ring drainer (DrainerLoop)
-  /// so staging introduces no new lock level.
   void CommitterLoop();
-
-  /// Staged-append producer path: claim offsets from the ring with one CAS,
-  /// encode unlocked, publish with a release store. No append_mu_ touch on
-  /// the common path.
-  LIQUID_HOT_PATH
-  Result<EncodedBatch> AppendBatchStaged(std::vector<Record>* records,
-                                         const AppendOptions& options);
-
-  /// Ring drainer body (the committer thread under Staging::kRing): consumes
-  /// published runs in offset order, appends them, advances
-  /// committed_offset_ (and durable_offset_ per SyncMode), records failures,
-  /// and parks on committer_cv_ when idle.
-  void DrainerLoop();
-
-  /// One group-commit window (ring mode): snapshot the committed target,
-  /// fsync, republish durable_offset_ — same logic as CommitterLoop's body.
-  void GroupWindowOnce() EXCLUDES(append_mu_);
-
-  /// Signals the parked drainer after publishing a run. Lock-free on the
-  /// saturated common path: only the idle transition takes append_mu_.
-  LIQUID_HOT_PATH
-  void WakeDrainer();
-
-  /// Reopens the staging ring at next_offset_ after a mutation and resyncs
-  /// reserved_offset_/committed_offset_. No-op under Staging::kOff (the
-  /// legacy counter resyncs in the mutators handle that path). Called with
-  /// append_mu_ held and mu_ free (see StagingDrain).
-  void ReopenStagingLocked() REQUIRES(append_mu_) EXCLUDES(mu_);
-
-  /// Records a drainer append/sync failure for offsets [begin, end), keeping
-  /// a bounded ledger (oldest entries evicted; their waiters were already
-  /// signalled at record time).
-  void RecordAppendFailureLocked(int64_t begin, int64_t end, Status status)
-      REQUIRES(append_mu_);
-
-  /// The recorded failure overlapping [base, end), or nullptr.
-  const AppendFailure* FailureOverlappingLocked(int64_t base,
-                                                int64_t end) const
-      REQUIRES(append_mu_);
-
-  /// True once AwaitAppended(…, end) may return success: committed (and,
-  /// under kEveryBatch, durable) covers `end`.
-  bool AppendedLocked(int64_t end) const REQUIRES(append_mu_);
 
   Disk* const disk_;
   PageCache* const cache_;
@@ -364,13 +239,8 @@ class Log {
   int64_t sync_failed_upto_ GUARDED_BY(append_mu_) = 0;
   Status last_sync_error_ GUARDED_BY(append_mu_);
   bool committer_stop_ GUARDED_BY(append_mu_) = false;
-  /// Wakes the committer when committed_offset_ advances (kGroup), and the
-  /// ring drainer when a run is published while it is parked (kRing).
+  /// Wakes the committer when committed_offset_ advances (kGroup).
   CondVar committer_cv_{&append_mu_};
-  /// Bounded ledger of drainer append/sync failures (Staging::kRing): the
-  /// failed range becomes an offset gap (legal in this log) and overlapping
-  /// AwaitAppended waiters get the error.
-  std::vector<AppendFailure> append_failures_ GUARDED_BY(append_mu_);
   /// Wakes AwaitDurable waiters when durable_offset_ / sync_failed_upto_
   /// move.
   CondVar durable_cv_{&append_mu_};
@@ -378,27 +248,13 @@ class Log {
   // liquid-lint: allow(guarded-by): written once in Open before the Log is published to any other thread and joined in the destructor after the stop handshake; never accessed concurrently.
   std::thread committer_;
 
-  /// The MPSC staging ring (null under Staging::kOff). Internally
-  /// synchronized and lock-free; gate transitions (Close/Reset) run under
-  /// append_mu_.
-  const std::unique_ptr<MpscRing<EncodedBatch>> staging_;
-  /// True while the drainer is parked on committer_cv_. Producers check it
-  /// after publishing (behind a seq_cst fence handshake, see WakeDrainer)
-  /// so the saturated common path never touches append_mu_.
-  std::atomic<bool> drainer_parked_{false};
-
   /// Hot-path metric handles, resolved once at construction
   /// (OBSERVABILITY.md: hot paths never do registry name lookups).
   Counter* fetch_zero_copy_bytes_;
   Counter* fetch_copied_bytes_;
   Counter* group_commit_batches_;
   Counter* group_commit_syncs_;
-  Gauge* staging_depth_;
-  Counter* staging_ring_full_;
-  Counter* staging_drained_batches_;
-  Counter* staging_occupancy_sum_;
   Counter* producer_append_mu_acquisitions_;
-  Counter* group_commit_ledger_evictions_;
 };
 
 }  // namespace liquid::storage

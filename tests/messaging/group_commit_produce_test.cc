@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/fault.h"
 #include "messaging/broker.h"
 #include "messaging/cluster.h"
 #include "storage/log.h"
@@ -35,11 +36,22 @@ class GroupCommitProduceTest : public ::testing::Test {
     ASSERT_TRUE(cluster_->CreateTopic("t", topic).ok());
   }
 
-  Status ProduceOne(AckMode acks, const std::string& value) {
+  // Some tests arm the process-wide fault registry; always restore the
+  // disarmed production state, even when an ASSERT bails out early.
+  void TearDown() override { FaultRegistry::Default()->Clear(); }
+
+  Result<ProduceResponse> Produce(AckMode acks, const std::string& value,
+                                  int64_t producer_id = storage::kNoProducerId,
+                                  int32_t first_sequence = -1) {
     auto leader = cluster_->LeaderFor(tp_);
     if (!leader.ok()) return leader.status();
     std::vector<storage::Record> batch{storage::Record::KeyValue("k", value)};
-    return (*leader)->Produce(tp_, std::move(batch), acks).status();
+    return (*leader)->Produce(tp_, std::move(batch), acks, producer_id,
+                              first_sequence);
+  }
+
+  Status ProduceOne(AckMode acks, const std::string& value) {
+    return Produce(acks, value).status();
   }
 
   int64_t CountFetchable() {
@@ -89,6 +101,28 @@ TEST_F(GroupCommitProduceTest, FailedGroupSyncFailsTheAck) {
   ASSERT_TRUE(cluster_->StopBroker(0).ok());
   ASSERT_TRUE(cluster_->RestartBroker(0).ok());
   EXPECT_EQ(CountFetchable(), 1);
+}
+
+TEST_F(GroupCommitProduceTest, FailedAppendRollsBackTheSequence) {
+  // An append rejected before it reached the log must roll back the
+  // idempotence sequence advance, or the producer's retry of that batch
+  // would be dropped as a duplicate and never land.
+  const int64_t pid = 7;
+  LIQUID_ASSERT_OK(Produce(AckMode::kAll, "v0", pid, 0).status());
+
+  FaultSiteConfig append_fault;
+  append_fault.kind = FaultActionKind::kFail;
+  append_fault.fail_code = StatusCode::kIOError;
+  append_fault.max_triggers = 1;
+  FaultRegistry::Default()->Arm("log.append.before", append_fault);
+  EXPECT_FALSE(Produce(AckMode::kAll, "v1", pid, 1).ok());
+  FaultRegistry::Default()->Clear();
+
+  // The retry with the same sequence must be accepted, not deduplicated.
+  auto resp = Produce(AckMode::kAll, "v1", pid, 1);
+  LIQUID_ASSERT_OK(resp.status());
+  EXPECT_EQ(resp->base_offset, 1);
+  EXPECT_EQ(CountFetchable(), 2);
 }
 
 }  // namespace

@@ -12,6 +12,13 @@
 namespace liquid::messaging {
 namespace {
 
+/// A one-record leader push carrying `offset`, encoded as the leader would.
+storage::EncodedBatch PushBatch(int64_t offset) {
+  std::vector<storage::Record> records{storage::Record::KeyValue("k", "v")};
+  records[0].offset = offset;
+  return storage::EncodedBatch::Encode(records);
+}
+
 /// Leader/follower replication, high-watermark and ISR behaviour (§4.3).
 class ReplicationTest : public ::testing::Test {
  protected:
@@ -183,11 +190,10 @@ TEST_F(ReplicationTest, FollowerRejectsStaleEpochPush) {
   for (int replica : state->replicas) {
     if (replica != state->leader) follower = replica;
   }
-  std::vector<storage::Record> records{storage::Record::KeyValue("k", "v")};
-  records[0].offset = 0;
+  const storage::EncodedBatch batch = PushBatch(0);
   // Push with an epoch lower than current: rejected.
-  Status st = cluster_->broker(follower)->AppendAsFollower(
-      tp, records, state->leader_epoch - 1, 0);
+  Status st = cluster_->broker(follower)->AppendEncodedAsFollower(
+      tp, batch, state->leader_epoch - 1, 0);
   EXPECT_TRUE(st.IsFailedPrecondition());
 }
 
@@ -199,10 +205,10 @@ TEST_F(ReplicationTest, FollowerBehindPushSignalsOutOfRange) {
   for (int replica : state->replicas) {
     if (replica != state->leader) follower = replica;
   }
-  std::vector<storage::Record> records{storage::Record::KeyValue("k", "v")};
-  records[0].offset = 10;  // Follower log is empty: a gap.
-  Status st = cluster_->broker(follower)->AppendAsFollower(
-      tp, records, state->leader_epoch, 0);
+  // Follower log is empty: a gap.
+  const storage::EncodedBatch batch = PushBatch(10);
+  Status st = cluster_->broker(follower)->AppendEncodedAsFollower(
+      tp, batch, state->leader_epoch, 0);
   EXPECT_TRUE(st.IsOutOfRange());
 }
 
@@ -214,14 +220,13 @@ TEST_F(ReplicationTest, DuplicatePushIsIdempotent) {
   for (int replica : state->replicas) {
     if (replica != state->leader) follower = replica;
   }
-  std::vector<storage::Record> records{storage::Record::KeyValue("k", "v")};
-  records[0].offset = 0;
+  const storage::EncodedBatch batch = PushBatch(0);
   ASSERT_TRUE(cluster_->broker(follower)
-                  ->AppendAsFollower(tp, records, state->leader_epoch, 0)
+                  ->AppendEncodedAsFollower(tp, batch, state->leader_epoch, 0)
                   .ok());
   // Same push again (leader retry): no duplicate append.
   ASSERT_TRUE(cluster_->broker(follower)
-                  ->AppendAsFollower(tp, records, state->leader_epoch, 0)
+                  ->AppendEncodedAsFollower(tp, batch, state->leader_epoch, 0)
                   .ok());
   EXPECT_EQ(*cluster_->broker(follower)->LogEndOffset(tp), 1);
 }

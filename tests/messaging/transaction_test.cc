@@ -227,6 +227,45 @@ TEST_F(TransactionTest, ControlMarkersNeverDelivered) {
   }
 }
 
+TEST_F(TransactionTest, FollowerCopyOfMarkerIsDurableUnderEveryBatchSync) {
+  // The leader counts a follower's copy of a transaction marker toward the
+  // marker's replication, so under sync_mode=every_batch that copy must be
+  // fsynced before the push returns — like any other replicated batch.
+  TopicConfig topic;
+  topic.partitions = 1;
+  topic.replication_factor = 2;
+  topic.log.sync_mode = storage::SyncMode::kEveryBatch;
+  ASSERT_TRUE(cluster_->CreateTopic("durable", topic).ok());
+  const TopicPartition tp{"durable", 0};
+
+  auto producer = NewTxnProducer("t1");
+  LIQUID_ASSERT_OK(producer->BeginTransaction());
+  for (int i = 0; i < 3; ++i) {
+    LIQUID_ASSERT_OK(producer->Send(
+        "durable", storage::Record::KeyValue("k", "v" + std::to_string(i))));
+  }
+  LIQUID_ASSERT_OK(producer->CommitTransaction());
+
+  auto state = cluster_->GetPartitionState(tp);
+  LIQUID_ASSERT_OK(state.status());
+  const int64_t leader_end =
+      *cluster_->broker(state->leader)->LogEndOffset(tp);
+  ASSERT_EQ(leader_end, 4);  // Three records and the commit marker.
+  int follower = -1;
+  for (int replica : state->replicas) {
+    if (replica != state->leader) follower = replica;
+  }
+  ASSERT_GE(follower, 0);
+  ASSERT_EQ(*cluster_->broker(follower)->LogEndOffset(tp), leader_end);
+
+  // Power-cycle the follower, dropping everything it never fsynced. No
+  // replication tick runs, so its log holds exactly what reached its disk.
+  LIQUID_ASSERT_OK(cluster_->StopBroker(follower));
+  cluster_->disk(follower)->SimulateCrash();
+  LIQUID_ASSERT_OK(cluster_->RestartBroker(follower));
+  EXPECT_EQ(*cluster_->broker(follower)->LogEndOffset(tp), leader_end);
+}
+
 TEST_F(TransactionTest, CoordinatorStateMachineGuards) {
   EXPECT_TRUE(txn_->Begin("unknown").IsNotFound());
   ASSERT_TRUE(txn_->InitProducer("t").ok());

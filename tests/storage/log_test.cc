@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "common/clock.h"
+#include "common/metrics.h"
 
 #include "test_util.h"
 
@@ -81,6 +82,44 @@ TEST_F(LogTest, RollsSegmentsAtConfiguredSize) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(out[i].offset, i);
 }
 
+TEST_F(LogTest, BudgetedReadsNeverSkipPastASegmentBoundary) {
+  // A read that fills its byte budget inside a closed segment must stop
+  // there, not append the next segment's first record and skip the rest of
+  // the current one. The log has no page cache, so ReadEncoded takes its
+  // copying path as well.
+  LogConfig config;
+  config.segment_bytes = 1024;
+  auto log = OpenLog(config);
+  for (int i = 0; i < 40; ++i) {
+    auto batch = KeyedBatch(5, "key-" + std::to_string(i) + "-");
+    LIQUID_ASSERT_OK(log->Append(&batch));
+  }
+  ASSERT_GT(log->segment_count(), 3);
+  const int64_t end = log->end_offset();
+  constexpr size_t kBudget = 300;  // A fraction of one segment.
+
+  for (int64_t offset = 0; offset < end;) {
+    std::vector<Record> out;
+    LIQUID_ASSERT_OK(log->Read(offset, kBudget, &out));
+    ASSERT_FALSE(out.empty()) << "at " << offset;
+    for (size_t i = 0; i < out.size(); ++i) {
+      ASSERT_EQ(out[i].offset, offset + static_cast<int64_t>(i))
+          << "Read from " << offset;
+    }
+    offset = out.back().offset + 1;
+  }
+  for (int64_t offset = 0; offset < end;) {
+    EncodedBatch batch;
+    LIQUID_ASSERT_OK(log->ReadEncoded(offset, kBudget, &batch));
+    ASSERT_FALSE(batch.empty()) << "at " << offset;
+    for (size_t i = 0; i < batch.frames().size(); ++i) {
+      ASSERT_EQ(batch.frames()[i].offset, offset + static_cast<int64_t>(i))
+          << "ReadEncoded from " << offset;
+    }
+    offset = batch.last_offset() + 1;
+  }
+}
+
 TEST_F(LogTest, ReadPastEndReturnsEmpty) {
   auto log = OpenLog(LogConfig{});
   auto batch = KeyedBatch(3);
@@ -113,15 +152,68 @@ TEST_F(LogTest, ReopenRecoversAcrossSegments) {
 }
 
 TEST_F(LogTest, AppendWithOffsetsFollowsLeader) {
+  // A follower appends the leader's batch at the leader's offsets, and
+  // refuses a batch that overlaps what it already holds.
   auto leader = OpenLog(LogConfig{}, "leader/");
   auto follower = OpenLog(LogConfig{}, "follower/");
-  auto batch = KeyedBatch(10);
-  LIQUID_ASSERT_OK(leader->Append(&batch));
-  ASSERT_TRUE(follower->AppendWithOffsets(batch).ok());
+  auto records = KeyedBatch(10);
+  auto batch = leader->AppendBatch(&records);
+  LIQUID_ASSERT_OK(batch.status());
+  ASSERT_TRUE(follower->AppendEncoded(*batch).ok());
   EXPECT_EQ(follower->end_offset(), 10);
 
+  std::vector<Record> out;
+  LIQUID_ASSERT_OK(follower->Read(0, 1 << 20, &out));
+  ASSERT_EQ(out.size(), 10u);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(out[i].offset, i);
+    EXPECT_EQ(out[i].key, records[i].key);
+    EXPECT_EQ(out[i].value, records[i].value);
+  }
+
+  EXPECT_TRUE(follower->AppendEncoded(*batch).IsInvalidArgument());
+}
+
+TEST_F(LogTest, AppendEncodedFollowsLeader) {
+  auto leader = OpenLog(LogConfig{}, "leader/");
+  auto follower = OpenLog(LogConfig{}, "follower/");
+  auto records = KeyedBatch(10);
+  auto batch = leader->AppendBatch(&records);
+  LIQUID_ASSERT_OK(batch.status());
+  ASSERT_TRUE(follower->AppendEncoded(*batch).ok());
+  EXPECT_EQ(follower->end_offset(), 10);
+
+  // The leader's bytes landed verbatim.
+  EncodedBatch leader_read;
+  EncodedBatch follower_read;
+  LIQUID_ASSERT_OK(leader->ReadEncoded(0, 1 << 20, &leader_read));
+  LIQUID_ASSERT_OK(follower->ReadEncoded(0, 1 << 20, &follower_read));
+  EXPECT_EQ(follower_read.bytes().ToString(), leader_read.bytes().ToString());
+
   // Overlapping replication is rejected.
-  EXPECT_TRUE(follower->AppendWithOffsets(batch).IsInvalidArgument());
+  EXPECT_TRUE(follower->AppendEncoded(*batch).IsInvalidArgument());
+
+  // Local appends (e.g. after promotion to leader) continue past the
+  // replicated range.
+  auto local = KeyedBatch(2, "local");
+  auto base = follower->Append(&local);
+  LIQUID_ASSERT_OK(base.status());
+  EXPECT_EQ(*base, 10);
+}
+
+TEST_F(LogTest, ProducerAppendTakesThePipelineLockThreeTimesPerBatch) {
+  // Reserve, wait-for-turn and commit: the producer_append_mu_acquisitions
+  // counter the benchmarks report as append locks per batch.
+  auto log = OpenLog(LogConfig{}, "locks/");
+  Counter* locks = MetricsRegistry::Default()->GetCounter(
+      "liquid.log.locks.producer_append_mu_acquisitions");
+  const int64_t before = locks->value();
+  constexpr int kBatches = 50;
+  for (int b = 0; b < kBatches; ++b) {
+    auto batch = KeyedBatch(4);
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch).status());
+  }
+  EXPECT_EQ(locks->value() - before, 3 * kBatches);
 }
 
 TEST_F(LogTest, TruncateDropsSuffix) {

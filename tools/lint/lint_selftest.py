@@ -48,8 +48,8 @@ CASES = {
     # Sleep, condvar wait, and a transitively-reached fsync under a hot root.
     "hot-block": ("hot_block_bad.cc", 3, "hot_block_good.cc", set()),
     # Bare seq_cst default plus an unjustified non-relaxed ordering; the
-    # ring pair covers the CAS-claim / release-publish / fence idiom of
-    # common/mpsc_ring.h (bad CAS defaults, unjustified acquire/release;
+    # ring pair covers the CAS-claim / release-publish / fence idiom (the
+    # CAS of LogSegment::Flush; bad CAS defaults, unjustified acquire/release;
     # good `// order:` comments and the free-function fence staying exempt).
     "atomic-order": [
         ("atomic_order_bad.cc", 2, "atomic_order_good.cc", set()),

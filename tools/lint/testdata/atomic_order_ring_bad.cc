@@ -1,7 +1,8 @@
-// Lint corpus: atomic-order MUST fire on the MPSC-ring idiom done wrong
-// (common/mpsc_ring.h is the real thing). Claim() is a hot-path root; the
-// CAS with bare seq_cst defaults, the unjustified release publish, and the
-// unjustified acquire consume are each findings.
+// Lint corpus: atomic-order MUST fire on a CAS-claim / publish / consume
+// idiom done wrong (LogSegment::Flush's CAS-max on synced_pos_ is the live
+// CAS user). Claim() is a hot-path root; the CAS with bare seq_cst defaults,
+// the unjustified release publish, and the unjustified acquire consume are
+// each findings.
 #include "lint_stubs.h"
 
 namespace liquid {

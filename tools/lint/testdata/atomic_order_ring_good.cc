@@ -1,9 +1,9 @@
-// Lint corpus: atomic-order must stay SILENT on the MPSC-ring idiom done
-// right (the discipline common/mpsc_ring.h follows): every non-relaxed
-// member op carries an `// order:` comment naming the edge it creates,
-// relaxed ops claim no contract and need none, and the Dekker-style
-// atomic_thread_fence is a free function the member-op rule does not key on
-// (its pairing argument lives at the use site).
+// Lint corpus: atomic-order must stay SILENT on a CAS-claim / publish /
+// consume idiom done right (the discipline LogSegment::Flush's CAS follows):
+// every non-relaxed member op carries an `// order:` comment naming the edge
+// it creates, relaxed ops claim no contract and need none, and the
+// Dekker-style atomic_thread_fence is a free function the member-op rule
+// does not key on (its pairing argument lives at the use site).
 #include "lint_stubs.h"
 
 namespace liquid {

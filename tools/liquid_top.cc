@@ -230,8 +230,7 @@ int main(int argc, char** argv) {
   std::printf("\nKey gauges (full set: --prometheus or --json):\n");
   for (const auto& [name, value] : metrics->GaugeValues()) {
     if (name.find(".lag") != std::string::npos ||
-        name.find("checkpoint_age") != std::string::npos ||
-        name.find("staging_depth") != std::string::npos) {
+        name.find("checkpoint_age") != std::string::npos) {
       std::printf("  %-48s %lld\n", name.c_str(),
                   static_cast<long long>(value));
     }
