@@ -51,7 +51,7 @@ std::unique_ptr<Rig> BuildRig(size_t cache_mb) {
   }
   for (int64_t have = 0; have < kLogRecords; have += 1000) {
     for (auto& r : batch) r.offset = -1;
-    LIQUID_CHECK_OK(rig->log->Append(&batch));
+    LIQUID_CHECK_OK(rig->log->AppendBatch(&batch));
   }
   return rig;
 }
@@ -121,7 +121,7 @@ void BM_RandomReadNoCache(benchmark::State& state) {
   }
   for (int64_t have = 0; have < 50'000; have += 1000) {
     for (auto& r : batch) r.offset = -1;
-    LIQUID_CHECK_OK((*log)->Append(&batch));
+    LIQUID_CHECK_OK((*log)->AppendBatch(&batch));
   }
   std::vector<Record> out;
   Random pick(7);

@@ -47,7 +47,7 @@ void RunSweep() {
         batch.push_back(Record::KeyValue("user" + std::to_string(k),
                                          rng.Bytes(64)));
       }
-      LIQUID_CHECK_OK((*log)->Append(&batch));
+      LIQUID_CHECK_OK((*log)->AppendBatch(&batch));
     }
 
     // Recovery = replay every surviving record into a state map.
@@ -111,7 +111,7 @@ void RunSkewed() {
       batch.push_back(Record::KeyValue("user" + std::to_string(zipf.Next()),
                                        rng.Bytes(64)));
       if (batch.size() == 1000) {
-        LIQUID_CHECK_OK((*log)->Append(&batch));
+        LIQUID_CHECK_OK((*log)->AppendBatch(&batch));
         batch.clear();
       }
     }

@@ -49,12 +49,12 @@ void BM_AppendAtLogSize(benchmark::State& state) {
   auto fill = MakeBatch(1000, &rng);
   for (int64_t have = 0; have < prefill; have += 1000) {
     for (auto& r : fill) r.offset = -1;
-    LIQUID_CHECK_OK((*log)->Append(&fill));
+    LIQUID_CHECK_OK((*log)->AppendBatch(&fill));
   }
   auto batch = MakeBatch(100, &rng);
   for (auto _ : state) {
     for (auto& r : batch) r.offset = -1;
-    benchmark::DoNotOptimize((*log)->Append(&batch));
+    benchmark::DoNotOptimize((*log)->AppendBatch(&batch));
   }
   state.SetItemsProcessed(state.iterations() * 100);
   state.counters["log_records"] = static_cast<double>((*log)->end_offset());
@@ -77,7 +77,7 @@ void BM_TailReadAtLogSize(benchmark::State& state) {
   auto fill = MakeBatch(1000, &rng);
   for (int64_t have = 0; have < prefill; have += 1000) {
     for (auto& r : fill) r.offset = -1;
-    LIQUID_CHECK_OK((*log)->Append(&fill));
+    LIQUID_CHECK_OK((*log)->AppendBatch(&fill));
   }
   const int64_t end = (*log)->end_offset();
   std::vector<Record> out;
@@ -107,7 +107,7 @@ void BM_RandomReadIndexAblation(benchmark::State& state) {
   auto fill = MakeBatch(1000, &rng);
   for (int64_t have = 0; have < 200'000; have += 1000) {
     for (auto& r : fill) r.offset = -1;
-    LIQUID_CHECK_OK((*log)->Append(&fill));
+    LIQUID_CHECK_OK((*log)->AppendBatch(&fill));
   }
   const int64_t end = (*log)->end_offset();
   std::vector<Record> out;
@@ -138,7 +138,7 @@ void BM_AppendRecordSize(benchmark::State& state) {
   }
   for (auto _ : state) {
     for (auto& r : batch) r.offset = -1;
-    benchmark::DoNotOptimize((*log)->Append(&batch));
+    benchmark::DoNotOptimize((*log)->AppendBatch(&batch));
   }
   state.SetBytesProcessed(state.iterations() * 100 *
                           static_cast<int64_t>(value_bytes));

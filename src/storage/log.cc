@@ -9,6 +9,21 @@
 
 namespace liquid::storage {
 
+namespace {
+
+// The whole of `segment` as one batch; the scan CRC-verifies every frame.
+Status ReadWholeSegment(const LogSegment& segment, EncodedBatch* out) {
+  std::string bytes;
+  std::vector<BatchFrame> frames;
+  LIQUID_RETURN_NOT_OK(segment.ReadEncoded(
+      segment.base_offset(), segment.size_bytes(), &bytes, &frames));
+  *out = EncodedBatch::FromParts(
+      std::make_shared<const std::string>(std::move(bytes)), std::move(frames));
+  return Status::OK();
+}
+
+}  // namespace
+
 Log::Log(Disk* disk, PageCache* cache, std::string name_prefix, LogConfig config,
          Clock* clock)
     : disk_(disk),
@@ -213,13 +228,7 @@ int64_t Log::durable_offset() const {
   return durable_offset_;
 }
 
-Result<int64_t> Log::Append(std::vector<Record>* records) {
-  LIQUID_ASSIGN_OR_RETURN(EncodedBatch batch, AppendBatch(records));
-  return batch.base_offset();
-}
-
-Result<EncodedBatch> Log::AppendBatch(std::vector<Record>* records,
-                                      const AppendOptions& options) {
+Result<EncodedBatch> Log::AppendBatch(std::vector<Record>* records) {
   if (records->empty()) return Status::InvalidArgument("empty append");
   // Chaos surface: reject/delay the append before any offset is reserved.
   LIQUID_FAULT_POINT("log.append.before");
@@ -279,24 +288,14 @@ Result<EncodedBatch> Log::AppendBatch(std::vector<Record>* records,
   LIQUID_RETURN_NOT_OK(write_status);
 
   // Phase 6 (durability): every_batch pays one inline fsync per call — the
-  // baseline group commit is measured against; group mode blocks only the
-  // callers that asked for a durable acknowledgment, on the shared
-  // committer's next window.
-  switch (config_.sync_mode) {
-    case SyncMode::kNone:
-      break;
-    case SyncMode::kEveryBatch: {
-      LIQUID_RETURN_NOT_OK(SyncDirtySegments());
-      MutexLock lock(&append_mu_);
-      if (durable_offset_ < end) durable_offset_ = end;
-      durable_cv_.SignalAll();
-      break;
-    }
-    case SyncMode::kGroup:
-      if (options.await_durability) {
-        LIQUID_RETURN_NOT_OK(AwaitDurable(end));
-      }
-      break;
+  // baseline group commit is measured against. Group mode returns at once;
+  // callers that need a durable acknowledgment wait in AwaitDurable for the
+  // shared committer's next window.
+  if (config_.sync_mode == SyncMode::kEveryBatch) {
+    LIQUID_RETURN_NOT_OK(SyncDirtySegments());
+    MutexLock lock(&append_mu_);
+    if (durable_offset_ < end) durable_offset_ = end;
+    durable_cv_.SignalAll();
   }
   return batch;
 }
@@ -326,37 +325,12 @@ Status Log::AppendEncoded(const EncodedBatch& batch) {
     if (durable_offset_ < end) durable_offset_ = end;
     durable_cv_.SignalAll();
   }
-  if (config_.sync_mode == SyncMode::kGroup) committer_cv_.Signal();
-  return Status::OK();
-}
-
-Status Log::Read(int64_t offset, size_t max_bytes,
-                 std::vector<Record>* out) const {
-  ReaderMutexLock lock(&mu_);
-  offset = std::max(offset, start_offset_);
-  if (offset >= next_offset_) return Status::OK();
-  // Find the segment containing `offset`: greatest base_offset <= offset.
-  auto it = std::upper_bound(segments_.begin(), segments_.end(), offset,
-                             [](int64_t target, const auto& seg) {
-                               return target < seg->base_offset();
-                             });
-  if (it != segments_.begin()) --it;
-  size_t gathered = 0;
-  while (it != segments_.end() && gathered < max_bytes) {
-    const size_t before = out->size();
-    LIQUID_RETURN_NOT_OK((*it)->Read(offset, max_bytes - gathered, out));
-    for (size_t i = before; i < out->size(); ++i) {
-      gathered += (*out)[i].EncodedSize();
-    }
-    // Move on only when this segment contributed nothing (compaction can
-    // leave one empty of qualifying records) or was read to its end. A read
-    // that stopped on the byte budget mid-segment ends the reply here: the
-    // next segment would add a record past the unread rest of this one.
-    if (out->size() > before) {
-      offset = out->back().offset + 1;
-      if (offset < (*it)->next_offset()) break;
-    }
-    ++it;
+  if (config_.sync_mode == SyncMode::kGroup) {
+    // Follower batches count toward the coalescing factor like producer
+    // batches: the committer counts every follower fsync in
+    // group_commit_syncs.
+    group_commit_batches_->Increment();
+    committer_cv_.Signal();
   }
   return Status::OK();
 }
@@ -364,9 +338,36 @@ Status Log::Read(int64_t offset, size_t max_bytes,
 Status Log::ReadEncoded(int64_t offset, size_t max_bytes,
                         EncodedBatch* out) const {
   ReaderMutexLock lock(&mu_);
+  return ReadEncodedLocked(offset, max_bytes, out);
+}
+
+Status Log::Read(int64_t offset, size_t max_bytes,
+                 std::vector<Record>* out) const {
+  ReaderMutexLock lock(&mu_);
+  size_t gathered = 0;
+  while (gathered < max_bytes) {
+    // Each batch, and the cache page it may pin, dies before the lock does.
+    EncodedBatch batch;
+    LIQUID_RETURN_NOT_OK(
+        ReadEncodedLocked(offset, max_bytes - gathered, &batch));
+    // Only the reply's first record may exceed the budget.
+    if (batch.empty() ||
+        (gathered > 0 && batch.size_bytes() > max_bytes - gathered)) {
+      break;
+    }
+    LIQUID_RETURN_NOT_OK(batch.DecodeAll(out));
+    gathered += batch.size_bytes();
+    offset = batch.last_offset() + 1;
+  }
+  return Status::OK();
+}
+
+Status Log::ReadEncodedLocked(int64_t offset, size_t max_bytes,
+                              EncodedBatch* out) const {
   *out = EncodedBatch();
   offset = std::max(offset, start_offset_);
   if (offset >= next_offset_) return Status::OK();
+  // Find the segment containing `offset`: greatest base_offset <= offset.
   auto it = std::upper_bound(segments_.begin(), segments_.end(), offset,
                              [](int64_t target, const auto& seg) {
                                return target < seg->base_offset();
@@ -392,7 +393,10 @@ Status Log::ReadEncoded(int64_t offset, size_t max_bytes,
     const size_t before = frames.size();
     LIQUID_RETURN_NOT_OK(
         (*it)->ReadEncoded(offset, max_bytes - bytes.size(), &bytes, &frames));
-    // Same segment-boundary rule as Read.
+    // Move on only when this segment contributed nothing (compaction can
+    // leave one empty of qualifying records) or was read to its end. A read
+    // that stopped on the byte budget mid-segment ends the reply here: the
+    // next segment would add a record past the unread rest of this one.
     if (frames.size() > before) {
       offset = frames.back().offset + 1;
       if (offset < (*it)->next_offset()) break;
@@ -464,39 +468,20 @@ Status Log::Truncate(int64_t offset) {
     LIQUID_RETURN_NOT_OK(segments_.back()->Drop());
     segments_.pop_back();
   }
-  // Partially truncate the now-last segment by rewriting its survivors.
+  // Partially truncate the now-last segment: its surviving frames go back
+  // verbatim into a fresh segment at the same base.
   if (!segments_.empty() && segments_.back()->next_offset() > offset) {
     LogSegment* last = segments_.back().get();
-    std::vector<Record> survivors;
-    std::vector<Record> chunk;
-    int64_t cursor = last->base_offset();
-    while (cursor < offset) {
-      chunk.clear();
-      LIQUID_RETURN_NOT_OK(last->Read(cursor, 1 << 20, &chunk));
-      if (chunk.empty()) break;
-      bool hit_boundary = false;
-      for (Record& record : chunk) {
-        if (record.offset >= offset) {
-          // Gaps (from compaction) can make the first record of a chunk land
-          // beyond the truncation point even though the segment base is below
-          // it; stop here or we would spin forever.
-          hit_boundary = true;
-          break;
-        }
-        survivors.push_back(std::move(record));
-      }
-      if (hit_boundary) break;
-      cursor = survivors.back().offset + 1;
-    }
+    EncodedBatch survivors;
+    LIQUID_RETURN_NOT_OK(ReadWholeSegment(*last, &survivors));
+    survivors.TrimToOffset(offset);
     const int64_t base = last->base_offset();
     LIQUID_RETURN_NOT_OK(last->Drop());
     segments_.pop_back();
     LogSegment::Config seg_config{config_.index_interval_bytes};
     auto segment = LogSegment::Open(disk_, cache_, name_prefix_, base, seg_config);
     if (!segment.ok()) return segment.status();
-    if (!survivors.empty()) {
-      LIQUID_RETURN_NOT_OK((*segment)->Append(survivors));
-    }
+    LIQUID_RETURN_NOT_OK((*segment)->AppendEncoded(survivors));
     segments_.push_back(std::move(segment).value());
   }
   if (segments_.empty()) {
@@ -548,17 +533,14 @@ Result<CompactionStats> Log::Compact() {
   // Phase 1: build the key -> newest offset map across the WHOLE log (the
   // active segment contributes newest offsets but is never rewritten).
   std::unordered_map<std::string, int64_t> latest;
+  EncodedBatch batch;
+  std::vector<Record> records;
   for (const auto& segment : segments_) {
-    int64_t cursor = segment->base_offset();
-    std::vector<Record> chunk;
-    while (cursor < segment->next_offset()) {
-      chunk.clear();
-      LIQUID_RETURN_NOT_OK(segment->Read(cursor, 1 << 20, &chunk));
-      if (chunk.empty()) break;
-      for (const Record& record : chunk) {
-        if (record.has_key) latest[record.key] = record.offset;
-      }
-      cursor = chunk.back().offset + 1;
+    records.clear();
+    LIQUID_RETURN_NOT_OK(ReadWholeSegment(*segment, &batch));
+    LIQUID_RETURN_NOT_OK(batch.DecodeAll(&records));
+    for (const Record& record : records) {
+      if (record.has_key) latest[record.key] = record.offset;
     }
   }
 
@@ -568,24 +550,19 @@ Result<CompactionStats> Log::Compact() {
   for (size_t i = 0; i < closed; ++i) {
     LogSegment* segment = segments_[i].get();
     stats.bytes_before += segment->size_bytes();
-    int64_t cursor = segment->base_offset();
-    std::vector<Record> chunk;
-    while (cursor < segment->next_offset()) {
-      chunk.clear();
-      LIQUID_RETURN_NOT_OK(segment->Read(cursor, 1 << 20, &chunk));
-      if (chunk.empty()) break;
-      for (Record& record : chunk) {
-        ++stats.records_before;
-        bool keep = true;
-        if (record.has_key) {
-          keep = latest[record.key] == record.offset;
-          if (keep && record.is_tombstone && config_.compaction_drops_tombstones) {
-            keep = false;
-          }
+    records.clear();
+    LIQUID_RETURN_NOT_OK(ReadWholeSegment(*segment, &batch));
+    LIQUID_RETURN_NOT_OK(batch.DecodeAll(&records));
+    for (Record& record : records) {
+      ++stats.records_before;
+      bool keep = true;
+      if (record.has_key) {
+        keep = latest[record.key] == record.offset;
+        if (keep && record.is_tombstone && config_.compaction_drops_tombstones) {
+          keep = false;
         }
-        if (keep) survivors.push_back(std::move(record));
       }
-      cursor = chunk.back().offset + 1;
+      if (keep) survivors.push_back(std::move(record));
     }
     ++stats.segments_cleaned;
   }
@@ -603,9 +580,10 @@ Result<CompactionStats> Log::Compact() {
   auto cleaned =
       LogSegment::Open(disk_, cache_, name_prefix_, first_base, seg_config);
   if (!cleaned.ok()) return cleaned.status();
-  if (!survivors.empty()) {
-    LIQUID_RETURN_NOT_OK((*cleaned)->Append(survivors));
-  }
+  // Survivors are encoded once; EncodeRecord is deterministic, so the
+  // cleaned bytes equal the original frames of the kept records.
+  LIQUID_RETURN_NOT_OK(
+      (*cleaned)->AppendEncoded(EncodedBatch::Encode(survivors)));
   stats.records_after = static_cast<int64_t>(survivors.size());
   stats.bytes_after = (*cleaned)->size_bytes();
   segments_.insert(segments_.begin(), std::move(cleaned).value());

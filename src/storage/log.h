@@ -57,16 +57,6 @@ struct LogConfig {
   SyncMode sync_mode = SyncMode::kNone;
 };
 
-/// Per-append knobs for Log::AppendBatch.
-struct AppendOptions {
-  /// Block until the appended offsets are fsynced (only meaningful under
-  /// SyncMode::kGroup, where it maps AckMode::kAll onto the group commit;
-  /// kEveryBatch syncs inline regardless and kNone never syncs). A non-OK
-  /// return then means the batch was NOT acknowledged durable — it may or
-  /// may not survive a crash.
-  bool await_durability = false;
-};
-
 /// Outcome of one compaction pass, reported for the E4 bench.
 struct CompactionStats {
   int64_t records_before = 0;
@@ -107,22 +97,14 @@ class Log {
   ~Log();
 
   /// Appends records in place, assigning consecutive offsets (and the current
-  /// time to records whose timestamp is 0) so the caller sees the assignment.
-  /// Returns the offset of the first record.
-  Result<int64_t> Append(std::vector<Record>* records);
-
-  /// Like Append, but also returns the records' one-time wire encoding as a
-  /// shared immutable buffer (the encode-once hot path: the caller forwards
-  /// the same bytes to followers and replica fetches without re-encoding).
+  /// time to records whose timestamp is 0) so the caller sees the assignment,
+  /// and returns the records' one-time wire encoding as a shared immutable
+  /// buffer (the encode-once hot path: the caller forwards the same bytes to
+  /// followers and replica fetches without re-encoding). This is the log's
+  /// one producer append; under SyncMode::kGroup it does not wait for the
+  /// fsync — callers that need a durable acknowledgment call AwaitDurable.
   LIQUID_HOT_PATH
-  Result<EncodedBatch> AppendBatch(std::vector<Record>* records) {
-    return AppendBatch(records, AppendOptions{});
-  }
-
-  /// AppendBatch with per-call durability control; see AppendOptions.
-  LIQUID_HOT_PATH
-  Result<EncodedBatch> AppendBatch(std::vector<Record>* records,
-                                   const AppendOptions& options);
+  Result<EncodedBatch> AppendBatch(std::vector<Record>* records);
 
   /// All offsets below this have been fsynced (only advanced by kEveryBatch
   /// and kGroup modes; stays 0 under kNone).
@@ -144,16 +126,19 @@ class Log {
   /// before returning, mirroring the leader's ack contract.
   Status AppendEncoded(const EncodedBatch& batch);
 
-  /// Reads records with offset in [offset, min(end, offset+...)), gathering up
-  /// to `max_bytes` of encoded data, at least one record when any exists.
+  /// Reads the encoded frames of records with offset >= `offset`, gathering
+  /// up to `max_bytes`, at least one record when any exists, as a shared
+  /// buffer (replica-fetch fast path; the buffer may be a pinned cache page).
   /// Requests below start_offset() are clamped forward to it (retention may
   /// have deleted the prefix); requests at or past end_offset() return empty.
-  Status Read(int64_t offset, size_t max_bytes, std::vector<Record>* out) const;
-
-  /// Like Read, but returns the raw encoded frames as a shared buffer without
-  /// materializing Record structs (replica-fetch fast path).
+  /// A frame that fails its CRC is Corruption.
   LIQUID_HOT_PATH
   Status ReadEncoded(int64_t offset, size_t max_bytes, EncodedBatch* out) const;
+
+  /// ReadEncoded decoded to Records (appended to `out`): the same segment
+  /// walk, repeated under one shared-lock hold until `max_bytes` is filled,
+  /// since one zero-copy step returns at most a cache page.
+  Status Read(int64_t offset, size_t max_bytes, std::vector<Record>* out) const;
 
   /// First offset with a timestamp >= ts_ms (metadata-based rewind, §3.1).
   Result<int64_t> OffsetForTimestamp(int64_t ts_ms) const;
@@ -188,6 +173,9 @@ class Log {
   Status RollLocked(int64_t base_offset) REQUIRES(mu_);
   LogSegment* ActiveLocked() REQUIRES(mu_) { return segments_.back().get(); }
   Status AppendBatchLocked(const EncodedBatch& batch) REQUIRES(mu_);
+  /// The log's one segment walk, behind ReadEncoded and Read.
+  Status ReadEncodedLocked(int64_t offset, size_t max_bytes,
+                           EncodedBatch* out) const REQUIRES_SHARED(mu_);
 
   /// Blocks until no append reservation is outstanding. Mutators
   /// (truncation, retention, compaction, follower appends) hold append_mu_

@@ -22,6 +22,27 @@ constexpr size_t kScanChunkBytes = 128 * 1024;
 // DecodeRecord's minimum-length check); bounds frame-count reservations.
 constexpr size_t kMinFrameBytes = 4 + 4 + 8 + 8 + 8 + 4 + 4 + 1 + 2;
 
+// The one parser of the segment file format: length prefix, then the
+// CRC-verified header, into a BatchFrame positioned at 0 in `window`.
+// Returns OutOfRange when `window` holds only a prefix of the frame; then
+// frame->len is the whole frame's size (0 when even the length prefix is
+// cut). Corruption when the frame is malformed or fails its CRC.
+Status ParseFrame(Slice window, BatchFrame* frame) {
+  frame->len = 0;
+  if (window.size() < 4) return Status::OutOfRange("frame length cut");
+  frame->len = 4 + static_cast<size_t>(DecodeFixed32(window.data()));
+  if (window.size() < frame->len) return Status::OutOfRange("frame cut");
+  RecordFrameHeader header;
+  LIQUID_RETURN_NOT_OK(DecodeRecordHeader(window, &header, /*verify_crc=*/true));
+  frame->offset = header.offset;
+  frame->timestamp_ms = header.timestamp_ms;
+  frame->leader_epoch = header.leader_epoch;
+  frame->traced = header.traced;
+  frame->is_control = header.is_control;
+  frame->pos = 0;
+  return Status::OK();
+}
+
 }  // namespace
 
 LogSegment::LogSegment(Disk* disk, std::unique_ptr<File> file,
@@ -56,44 +77,58 @@ Result<std::unique_ptr<LogSegment>> LogSegment::Open(
   return segment;
 }
 
+template <typename Visit>
+Status LogSegment::ScanFrames(uint64_t pos, uint64_t end, Visit&& visit) const {
+  std::string buffer;
+  uint64_t buffer_base = pos;  // File position of buffer[0].
+  while (pos < end) {
+    const uint64_t at = pos - buffer_base;
+    const Slice window =
+        at < buffer.size()
+            ? Slice(buffer.data() + at,
+                    static_cast<size_t>(std::min<uint64_t>(buffer.size() - at,
+                                                           end - pos)))
+            : Slice();
+    BatchFrame frame;
+    const Status parsed = ParseFrame(window, &frame);
+    if (parsed.IsOutOfRange()) {
+      // The frame runs past the buffered bytes: refill from its start.
+      const size_t need = std::max<size_t>(frame.len, 4);
+      if (pos + need > end) {
+        return Status::Corruption("segment frame truncated");
+      }
+      LIQUID_RETURN_NOT_OK(
+          file_->ReadAt(pos, std::max(kScanChunkBytes, need), &buffer));
+      buffer_base = pos;
+      if (buffer.size() < need) {
+        return Status::Corruption("segment frame truncated");
+      }
+      continue;
+    }
+    LIQUID_RETURN_NOT_OK(parsed);
+    frame.pos = pos;
+    if (!visit(frame, Slice(window.data(), frame.len))) break;
+    pos += frame.len;
+  }
+  return Status::OK();
+}
+
 Status LogSegment::Recover() {
   const uint64_t file_size = file_->Size();
-  uint64_t pos = 0;
-  std::string buffer;
-  size_t buffer_base = 0;  // File position of buffer[0].
-  while (pos < file_size) {
-    // Ensure the buffer holds a full record starting at pos.
-    const size_t in_buf = pos - buffer_base;
-    if (in_buf >= buffer.size() || buffer.size() - in_buf < 4) {
-      LIQUID_RETURN_NOT_OK(file_->ReadAt(pos, kScanChunkBytes, &buffer));
-      buffer_base = pos;
-    }
-    Slice cursor(buffer.data() + (pos - buffer_base),
-                 buffer.size() - (pos - buffer_base));
-    if (cursor.size() < 4) break;
-    const uint32_t length = DecodeFixed32(cursor.data());
-    if (cursor.size() < 4 + static_cast<size_t>(length)) {
-      if (buffer_base + buffer.size() >= file_size) break;  // Corrupt tail.
-      // Record spans past the buffer: refill starting at pos.
-      LIQUID_RETURN_NOT_OK(
-          file_->ReadAt(pos, std::max<size_t>(kScanChunkBytes, 4 + length),
-                        &buffer));
-      buffer_base = pos;
-      cursor = Slice(buffer);
-      if (cursor.size() < 4 + static_cast<size_t>(length)) break;
-    }
-    Record record;
-    Status st = DecodeRecord(&cursor, &record);
-    if (!st.ok()) break;  // Corrupt tail: truncate here.
-    const size_t record_bytes = 4 + length;
-    MaybeIndex(record.offset, pos, record.timestamp_ms, record_bytes);
-    next_offset_ = record.offset + 1;
-    max_timestamp_ms_ = std::max(max_timestamp_ms_, record.timestamp_ms);
-    pos += record_bytes;
-  }
-  end_pos_ = pos;
-  if (pos < file_size) {
-    LIQUID_RETURN_NOT_OK(file_->Truncate(pos));
+  uint64_t good_end = 0;
+  const Status scan = ScanFrames(
+      0, file_size, [this, &good_end](const BatchFrame& frame, Slice) {
+        MaybeIndex(frame.offset, frame.pos, frame.timestamp_ms, frame.len);
+        next_offset_ = frame.offset + 1;
+        max_timestamp_ms_ = std::max(max_timestamp_ms_, frame.timestamp_ms);
+        good_end = frame.pos + frame.len;
+        return true;
+      });
+  // A torn or corrupt frame ends the segment: truncate it off.
+  if (!scan.ok() && !scan.IsCorruption()) return scan;
+  end_pos_ = good_end;
+  if (good_end < file_size) {
+    LIQUID_RETURN_NOT_OK(file_->Truncate(good_end));
   }
   return Status::OK();
 }
@@ -108,26 +143,6 @@ void LogSegment::MaybeIndex(int64_t offset, uint64_t position,
     bytes_since_index_ = 0;
   }
   bytes_since_index_ += record_bytes;
-}
-
-Status LogSegment::Append(const std::vector<Record>& records) {
-  if (records.empty()) return Status::OK();
-  std::string encoded;
-  uint64_t pos = end_pos_;
-  for (const Record& record : records) {
-    if (record.offset < next_offset_) {
-      return Status::InvalidArgument("non-monotonic offset in segment append");
-    }
-    const size_t before = encoded.size();
-    EncodeRecord(record, &encoded);
-    MaybeIndex(record.offset, pos, record.timestamp_ms, encoded.size() - before);
-    pos += encoded.size() - before;
-    next_offset_ = record.offset + 1;
-    max_timestamp_ms_ = std::max(max_timestamp_ms_, record.timestamp_ms);
-  }
-  LIQUID_RETURN_NOT_OK(file_->Append(encoded));
-  end_pos_ = pos;
-  return Status::OK();
 }
 
 Status LogSegment::AppendEncoded(const EncodedBatch& batch) {
@@ -182,28 +197,20 @@ Result<EncodedBatch> LogSegment::ReadEncodedPinned(int64_t from_offset,
       static_cast<size_t>(page_end > pos ? page_end - pos : 0) / kMinFrameBytes +
       1);
   size_t gathered = 0;
-  while (pos + 4 <= page_end) {
+  while (pos < page_end) {
     const size_t in_page = static_cast<size_t>(pos - pin.file_offset);
-    Slice cursor(pin.bytes->data() + in_page,
-                 static_cast<size_t>(page_end - pos));
-    const uint32_t length = DecodeFixed32(cursor.data());
-    if (pos + 4 + length > page_end) break;  // Record crosses the page edge.
-    RecordFrameHeader header;
-    LIQUID_RETURN_NOT_OK(
-        DecodeRecordHeader(cursor, &header, /*verify_crc=*/true));
-    pos += header.encoded_size;
-    if (header.offset < from_offset) continue;
-    if (gathered > 0 && gathered + header.encoded_size > max_bytes) break;
     BatchFrame frame;
-    frame.offset = header.offset;
-    frame.timestamp_ms = header.timestamp_ms;
-    frame.leader_epoch = header.leader_epoch;
-    frame.traced = header.traced;
-    frame.is_control = header.is_control;
+    const Status parsed = ParseFrame(
+        Slice(pin.bytes->data() + in_page, static_cast<size_t>(page_end - pos)),
+        &frame);
+    if (parsed.IsOutOfRange()) break;  // The frame crosses the page edge.
+    LIQUID_RETURN_NOT_OK(parsed);
+    pos += frame.len;
+    if (frame.offset < from_offset) continue;
+    if (gathered > 0 && gathered + frame.len > max_bytes) break;
     frame.pos = in_page;
-    frame.len = header.encoded_size;
     frames.push_back(frame);
-    gathered += header.encoded_size;
+    gathered += frame.len;
     if (gathered >= max_bytes) break;
   }
   // No complete qualifying record inside the pinned page: let the caller
@@ -216,57 +223,23 @@ Status LogSegment::ReadEncoded(int64_t from_offset, size_t max_bytes,
                                std::string* buf,
                                std::vector<BatchFrame>* frames) const {
   if (from_offset >= next_offset_) return Status::OK();
-  uint64_t pos = LookupPosition(from_offset);
-  // The gather loop stops once max_bytes accumulate (or the segment ends), so
+  const uint64_t pos = LookupPosition(from_offset);
+  // The gather stops once max_bytes accumulate (or the segment ends), so
   // both outputs can be reserved up front instead of regrowing per frame.
   const size_t bound =
       static_cast<size_t>(std::min<uint64_t>(max_bytes, end_pos_ - pos));
   buf->reserve(buf->size() + bound);
   frames->reserve(frames->size() + bound / kMinFrameBytes + 1);
   size_t gathered = 0;
-  std::string buffer;
-  uint64_t buffer_base = 0;
-  bool have_buffer = false;
-  while (pos < end_pos_) {
-    if (!have_buffer || pos < buffer_base ||
-        pos - buffer_base + 4 > buffer.size()) {
-      LIQUID_RETURN_NOT_OK(file_->ReadAt(pos, kScanChunkBytes, &buffer));
-      buffer_base = pos;
-      have_buffer = true;
-      if (buffer.size() < 4) break;
-    }
-    Slice cursor(buffer.data() + (pos - buffer_base),
-                 buffer.size() - (pos - buffer_base));
-    const uint32_t length = DecodeFixed32(cursor.data());
-    if (cursor.size() < 4 + static_cast<size_t>(length)) {
-      LIQUID_RETURN_NOT_OK(file_->ReadAt(
-          pos, std::max<size_t>(kScanChunkBytes, 4 + length), &buffer));
-      buffer_base = pos;
-      cursor = Slice(buffer);
-      if (cursor.size() < 4 + static_cast<size_t>(length)) {
-        return Status::Corruption("segment read hit truncated record");
-      }
-    }
-    RecordFrameHeader header;
-    LIQUID_RETURN_NOT_OK(
-        DecodeRecordHeader(cursor, &header, /*verify_crc=*/true));
-    pos += header.encoded_size;
-    if (header.offset < from_offset) continue;
-    if (gathered > 0 && gathered + header.encoded_size > max_bytes) break;
-    BatchFrame frame;
-    frame.offset = header.offset;
-    frame.timestamp_ms = header.timestamp_ms;
-    frame.leader_epoch = header.leader_epoch;
-    frame.traced = header.traced;
-    frame.is_control = header.is_control;
+  return ScanFrames(pos, end_pos_, [&](BatchFrame frame, Slice bytes) {
+    if (frame.offset < from_offset) return true;
+    if (gathered > 0 && gathered + frame.len > max_bytes) return false;
     frame.pos = buf->size();
-    frame.len = header.encoded_size;
-    buf->append(cursor.data(), header.encoded_size);
+    buf->append(bytes.data(), bytes.size());
     frames->push_back(frame);
-    gathered += header.encoded_size;
-    if (gathered >= max_bytes) break;
-  }
-  return Status::OK();
+    gathered += frame.len;
+    return gathered < max_bytes;
+  });
 }
 
 uint64_t LogSegment::LookupPosition(int64_t target_offset) const {
@@ -280,49 +253,8 @@ uint64_t LogSegment::LookupPosition(int64_t target_offset) const {
   return it->position;
 }
 
-Status LogSegment::Read(int64_t from_offset, size_t max_bytes,
-                        std::vector<Record>* out) const {
-  if (from_offset >= next_offset_) return Status::OK();
-  uint64_t pos = LookupPosition(from_offset);
-  size_t gathered = 0;
-  std::string buffer;
-  uint64_t buffer_base = 0;
-  bool have_buffer = false;
-  while (pos < end_pos_) {
-    if (!have_buffer || pos < buffer_base ||
-        pos - buffer_base + 4 > buffer.size()) {
-      LIQUID_RETURN_NOT_OK(file_->ReadAt(pos, kScanChunkBytes, &buffer));
-      buffer_base = pos;
-      have_buffer = true;
-      if (buffer.size() < 4) break;
-    }
-    Slice cursor(buffer.data() + (pos - buffer_base),
-                 buffer.size() - (pos - buffer_base));
-    const uint32_t length = DecodeFixed32(cursor.data());
-    if (cursor.size() < 4 + static_cast<size_t>(length)) {
-      LIQUID_RETURN_NOT_OK(file_->ReadAt(
-          pos, std::max<size_t>(kScanChunkBytes, 4 + length), &buffer));
-      buffer_base = pos;
-      cursor = Slice(buffer);
-      if (cursor.size() < 4 + static_cast<size_t>(length)) {
-        return Status::Corruption("segment read hit truncated record");
-      }
-    }
-    Record record;
-    LIQUID_RETURN_NOT_OK(DecodeRecord(&cursor, &record));
-    const size_t record_bytes = 4 + length;
-    pos += record_bytes;
-    if (record.offset < from_offset) continue;
-    if (gathered > 0 && gathered + record_bytes > max_bytes) break;
-    out->push_back(std::move(record));
-    gathered += record_bytes;
-    if (gathered >= max_bytes) break;
-  }
-  return Status::OK();
-}
-
 Result<int64_t> LogSegment::OffsetForTimestamp(int64_t ts_ms) const {
-  // The sparse time index narrows the scan; then scan records for precision.
+  // The sparse time index narrows the scan; frame headers give precision.
   int64_t start = base_offset_;
   auto it = std::upper_bound(time_index_.begin(), time_index_.end(), ts_ms,
                              [](int64_t target, const TimeIndexEntry& e) {
@@ -332,18 +264,16 @@ Result<int64_t> LogSegment::OffsetForTimestamp(int64_t ts_ms) const {
     --it;
     start = it->offset;
   }
-  std::vector<Record> records;
-  int64_t cursor = start;
-  while (cursor < next_offset_) {
-    records.clear();
-    LIQUID_RETURN_NOT_OK(Read(cursor, kScanChunkBytes, &records));
-    if (records.empty()) break;
-    for (const Record& record : records) {
-      if (record.timestamp_ms >= ts_ms) return record.offset;
-    }
-    cursor = records.back().offset + 1;
-  }
-  return Status::NotFound("no record at or after timestamp");
+  int64_t found = -1;
+  LIQUID_RETURN_NOT_OK(ScanFrames(
+      LookupPosition(start), end_pos_, [&](const BatchFrame& frame, Slice) {
+        if (frame.offset >= start && frame.timestamp_ms >= ts_ms) {
+          found = frame.offset;
+        }
+        return found < 0;
+      }));
+  if (found < 0) return Status::NotFound("no record at or after timestamp");
+  return found;
 }
 
 Status LogSegment::Drop() {

@@ -44,18 +44,17 @@ class LogSegment {
   LogSegment(const LogSegment&) = delete;
   LogSegment& operator=(const LogSegment&) = delete;
 
-  /// Appends records whose offsets are already assigned (ascending, all
-  /// >= next_offset()). Gaps are legal: compaction produces them.
-  Status Append(const std::vector<Record>& records);
-
-  /// Appends a pre-encoded batch (encode-once path): the batch bytes go to
-  /// the file verbatim in one write, and the index is fed from the batch's
-  /// frame metadata — no re-encode, no Record materialization.
+  /// Appends a pre-encoded batch, the segment's only append path: the batch
+  /// bytes go to the file verbatim in one write, and the index is fed from
+  /// the batch's frame metadata. Offsets must ascend from next_offset();
+  /// gaps are legal (compaction produces them).
   Status AppendEncoded(const EncodedBatch& batch);
 
-  /// Like Read, but collects the raw encoded frames into `buf` (appending)
-  /// plus their framing into `frames` (positions relative to `buf`), without
-  /// materializing key/value strings. CRCs are verified while scanning.
+  /// Collects the raw encoded frames of records with offset >= from_offset
+  /// into `buf` (appending) plus their framing into `frames` (positions
+  /// relative to `buf`) until `max_bytes` have been gathered, at least one
+  /// frame if any qualifies. CRCs are verified while scanning; a bad frame
+  /// is Corruption.
   Status ReadEncoded(int64_t from_offset, size_t max_bytes, std::string* buf,
                      std::vector<BatchFrame>* frames) const;
 
@@ -70,12 +69,8 @@ class LogSegment {
   Result<EncodedBatch> ReadEncodedPinned(int64_t from_offset,
                                          size_t max_bytes) const;
 
-  /// Collects records with offset >= from_offset until `max_bytes` of encoded
-  /// data have been gathered (at least one record if any qualifies).
-  Status Read(int64_t from_offset, size_t max_bytes,
-              std::vector<Record>* out) const;
-
-  /// First offset whose record timestamp is >= ts_ms, or NotFound.
+  /// First offset whose record timestamp is >= ts_ms, or NotFound. Scans
+  /// frame headers only; no key/value bytes are decoded.
   Result<int64_t> OffsetForTimestamp(int64_t ts_ms) const;
 
   int64_t base_offset() const { return base_offset_; }
@@ -109,6 +104,15 @@ class LogSegment {
 
   /// Scans existing bytes to rebuild the index; truncates a corrupt tail.
   Status Recover();
+
+  /// The segment's one file walk, shared by Recover, ReadEncoded and
+  /// OffsetForTimestamp: parses the frames stored at file positions
+  /// [pos, end), CRC-verifying each, and calls visit(frame, bytes) with
+  /// frame.pos set to the file position, until visit returns false. Returns
+  /// Corruption at the first frame that is malformed, fails its CRC or runs
+  /// past `end`.
+  template <typename Visit>
+  Status ScanFrames(uint64_t pos, uint64_t end, Visit&& visit) const;
 
   /// Greatest indexed file position whose offset is <= target.
   uint64_t LookupPosition(int64_t target_offset) const;

@@ -161,6 +161,12 @@ void PageCache::NoteAppend(uint64_t file_id, uint64_t offset, const Slice& data)
 
     const uint64_t key = MakeKey(file_id, page_no);
     auto it = pages_.find(key);
+    if (it == pages_.end() && in_page_off > 0) {
+      // The page's head was evicted: a page built from the appended bytes
+      // alone would serve zeros for it. Leave the page to the next miss.
+      pos += len;
+      continue;
+    }
     if (it == pages_.end()) {
       Page page;
       page.key = key;

@@ -15,6 +15,28 @@ constexpr uint8_t kAttrTraced = 1u << 3;
 constexpr size_t kHeaderFixedBytes = 4 + 4 + 8 + 8 + 8 + 4 + 4 + 1;
 // trace_id + span_id + ingest_us, present only when kAttrTraced is set.
 constexpr size_t kTraceBlockBytes = 8 + 8 + 8;
+
+// Framing checks shared by both decoders: the length prefix must cover the
+// fixed fields and fit in `input`, and (when asked) the CRC must match. On
+// success *body is the CRC-covered span and *length the prefix value.
+Status CheckFrame(Slice input, bool verify_crc, uint32_t* length, Slice* body) {
+  if (input.empty()) return Status::OutOfRange("no more records");
+  if (input.size() < 8) return Status::Corruption("record header truncated");
+  LIQUID_RETURN_NOT_OK(GetFixed32(&input, length));
+  if (*length < 4 + 8 + 8 + 8 + 4 + 4 + 1 + 2) {
+    return Status::Corruption("record length too small");
+  }
+  if (input.size() < *length) return Status::Corruption("record body truncated");
+  uint32_t masked_crc = 0;
+  LIQUID_RETURN_NOT_OK(GetFixed32(&input, &masked_crc));
+  *body = Slice(input.data(), *length - 4);
+  if (verify_crc &&
+      crc32c::Unmask(masked_crc) != crc32c::Value(body->data(), body->size())) {
+    return Status::Corruption("record crc mismatch");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 size_t Record::EncodedSize() const {
@@ -52,26 +74,10 @@ void EncodeRecord(const Record& record, std::string* dst) {
   dst->append(body);
 }
 
-Status DecodeRecord(Slice* input, Record* record) {
-  if (input->empty()) return Status::OutOfRange("no more records");
-  if (input->size() < 8) return Status::Corruption("record header truncated");
+Status DecodeRecord(Slice* input, Record* record, bool verify_crc) {
   uint32_t length = 0;
-  Slice peek = *input;
-  LIQUID_RETURN_NOT_OK(GetFixed32(&peek, &length));
-  if (length < 4 + 8 + 8 + 8 + 4 + 4 + 1 + 2) {
-    return Status::Corruption("record length too small");
-  }
-  if (peek.size() < length) return Status::Corruption("record body truncated");
-
-  uint32_t masked_crc = 0;
-  LIQUID_RETURN_NOT_OK(GetFixed32(&peek, &masked_crc));
-  const Slice body(peek.data(), length - 4);
-  const uint32_t actual = crc32c::Value(body.data(), body.size());
-  if (crc32c::Unmask(masked_crc) != actual) {
-    return Status::Corruption("record crc mismatch");
-  }
-
-  Slice cursor = body;
+  Slice cursor;
+  LIQUID_RETURN_NOT_OK(CheckFrame(*input, verify_crc, &length, &cursor));
   uint64_t offset = 0, timestamp = 0, producer_id = 0;
   uint32_t sequence = 0, leader_epoch = 0;
   LIQUID_RETURN_NOT_OK(GetFixed64(&cursor, &offset));
@@ -112,22 +118,9 @@ Status DecodeRecord(Slice* input, Record* record) {
 
 Status DecodeRecordHeader(Slice input, RecordFrameHeader* header,
                           bool verify_crc) {
-  if (input.empty()) return Status::OutOfRange("no more records");
-  if (input.size() < 8) return Status::Corruption("record header truncated");
   uint32_t length = 0;
-  LIQUID_RETURN_NOT_OK(GetFixed32(&input, &length));
-  if (length < 4 + 8 + 8 + 8 + 4 + 4 + 1 + 2) {
-    return Status::Corruption("record length too small");
-  }
-  if (input.size() < length) return Status::Corruption("record body truncated");
-  uint32_t masked_crc = 0;
-  LIQUID_RETURN_NOT_OK(GetFixed32(&input, &masked_crc));
-  const Slice body(input.data(), length - 4);
-  if (verify_crc &&
-      crc32c::Unmask(masked_crc) != crc32c::Value(body.data(), body.size())) {
-    return Status::Corruption("record crc mismatch");
-  }
-  Slice cursor = body;
+  Slice cursor;
+  LIQUID_RETURN_NOT_OK(CheckFrame(input, verify_crc, &length, &cursor));
   uint64_t offset = 0, timestamp = 0, producer_id = 0;
   uint32_t sequence = 0, leader_epoch = 0;
   LIQUID_RETURN_NOT_OK(GetFixed64(&cursor, &offset));
@@ -143,20 +136,6 @@ Status DecodeRecordHeader(Slice input, RecordFrameHeader* header,
   header->is_control = (attrs & kAttrControl) != 0;
   header->traced = (attrs & kAttrTraced) != 0;
   header->encoded_size = 4 + static_cast<size_t>(length);
-  return Status::OK();
-}
-
-Status DecodeRecords(Slice input, std::vector<Record>* records) {
-  while (!input.empty()) {
-    // A truncated tail (from a size-limited fetch) is expected: stop cleanly
-    // when the remaining bytes cannot hold the next full record.
-    if (input.size() < 4) break;
-    const uint32_t length = DecodeFixed32(input.data());
-    if (input.size() < 4 + static_cast<size_t>(length)) break;
-    Record record;
-    LIQUID_RETURN_NOT_OK(DecodeRecord(&input, &record));
-    records->push_back(std::move(record));
-  }
   return Status::OK();
 }
 

@@ -108,13 +108,10 @@ struct Record {
 void EncodeRecord(const Record& record, std::string* dst);
 
 /// Decodes one record from the front of `input`, advancing past it.
-/// Returns Corruption on CRC mismatch or truncation; OutOfRange if `input`
-/// is empty.
-Status DecodeRecord(Slice* input, Record* record);
-
-/// Decodes as many complete records as `input` holds, stopping cleanly at a
-/// truncated tail (which fetch responses produce by design).
-Status DecodeRecords(Slice input, std::vector<Record>* records);
+/// Returns Corruption on truncation, or on a CRC mismatch when `verify_crc`
+/// is set; OutOfRange if `input` is empty. Pass verify_crc=false only for
+/// bytes whose CRC was already checked (see EncodedBatch::FromParts).
+Status DecodeRecord(Slice* input, Record* record, bool verify_crc);
 
 /// Framing metadata of one encoded record, parsed without materializing the
 /// key/value strings. This is what the shared-buffer (encode-once) paths

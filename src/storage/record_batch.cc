@@ -51,10 +51,11 @@ Slice EncodedBatch::bytes() const {
 }
 
 Status EncodedBatch::DecodeAll(std::vector<Record>* out) const {
+  out->reserve(out->size() + frames_.size());
   Slice input = bytes();
   while (!input.empty()) {
     Record record;
-    LIQUID_RETURN_NOT_OK(DecodeRecord(&input, &record));
+    LIQUID_RETURN_NOT_OK(DecodeRecord(&input, &record, /*verify_crc=*/false));
     out->push_back(std::move(record));
   }
   return Status::OK();
@@ -64,7 +65,7 @@ Result<Record> EncodedBatch::DecodeFrame(size_t i) const {
   if (i >= frames_.size()) return Status::OutOfRange("frame index");
   Slice input(buffer_->data() + frames_[i].pos, frames_[i].len);
   Record record;
-  LIQUID_RETURN_NOT_OK(DecodeRecord(&input, &record));
+  LIQUID_RETURN_NOT_OK(DecodeRecord(&input, &record, /*verify_crc=*/false));
   return record;
 }
 

@@ -50,7 +50,10 @@ class EncodedBatch {
 
   /// Wraps already-encoded bytes whose framing was parsed elsewhere (e.g.
   /// Log::ReadEncoded). Frames must describe a contiguous ascending span of
-  /// `buffer`.
+  /// `buffer`, and every frame's CRC must already have been checked: the
+  /// segment scan that parses frames out of a file verifies each one, and
+  /// batches built by Encode are checksummed by construction. That
+  /// invariant is what lets DecodeAll and DecodeFrame skip a second check.
   static EncodedBatch FromParts(std::shared_ptr<const std::string> buffer,
                                 std::vector<BatchFrame> frames);
 
@@ -75,12 +78,13 @@ class EncodedBatch {
   const std::vector<BatchFrame>& frames() const { return frames_; }
   const std::shared_ptr<const std::string>& buffer() const { return buffer_; }
 
-  /// Decodes every frame into `out` (appending). Wire-format round trip;
-  /// used by consumer-facing paths and tests.
+  /// Decodes every frame into `out` (appending): the edge where the log's
+  /// encoded bytes become Records (Log::Read, consumer fetch). Does not
+  /// re-check CRCs (see FromParts).
   Status DecodeAll(std::vector<Record>* out) const;
 
   /// Decodes the i-th frame only (e.g. to re-emit a traced record's span
-  /// without materializing the rest of the batch).
+  /// without materializing the rest of the batch). No CRC re-check either.
   Result<Record> DecodeFrame(size_t i) const;
 
   /// Drops trailing frames with offset >= bound (visibility clamp: high

@@ -184,7 +184,7 @@ TEST_F(ParallelProduceStressTest, ReplicaReassignmentDuringProduce) {
 }
 
 // Pins the encode-once contract: a replica fetch's shared buffer must hold
-// exactly the bytes the legacy deep-copy path yields when its records are
+// exactly the bytes a consumer fetch yields when its decoded records are
 // re-encoded — including traced records, whose trace block rides in the wire
 // format.
 TEST_F(ParallelProduceStressTest, SharedBufferFetchMatchesDeepCopyBytes) {
@@ -209,7 +209,7 @@ TEST_F(ParallelProduceStressTest, SharedBufferFetchMatchesDeepCopyBytes) {
   ASSERT_EQ(replica_fetch->batch.record_count(), 4u);
   const Slice shared = replica_fetch->batch.bytes();
 
-  // Legacy path: deep-copied Record structs, re-encoded.
+  // Consumer path: the same frames decoded to Record structs, re-encoded.
   auto consumer_fetch = broker->Fetch(tp, 0, 1 << 20, -1);
   LIQUID_ASSERT_OK(consumer_fetch);
   ASSERT_EQ(consumer_fetch->records.size(), 4u);

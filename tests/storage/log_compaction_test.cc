@@ -51,7 +51,7 @@ TEST_F(LogCompactionTest, KeepsOnlyLatestPerKey) {
           "key" + std::to_string(k),
           "round" + std::to_string(round)));
     }
-    ASSERT_TRUE(log->Append(&batch).ok());
+    ASSERT_TRUE(log->AppendBatch(&batch).ok());
   }
   const auto before = Materialize(log.get());
   auto stats = log->Compact();
@@ -74,7 +74,7 @@ TEST_F(LogCompactionTest, OffsetsPreservedWithGaps) {
     for (int k = 0; k < 5; ++k) {
       batch.push_back(Record::KeyValue("key" + std::to_string(k), "x"));
     }
-    LIQUID_ASSERT_OK(log->Append(&batch));
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   }
   const int64_t end_before = log->end_offset();
   LIQUID_ASSERT_OK(log->Compact());
@@ -91,7 +91,7 @@ TEST_F(LogCompactionTest, ActiveSegmentNeverRewritten) {
   auto log = OpenCompactedLog(1 << 20);  // One big segment: nothing closed.
   std::vector<Record> batch{Record::KeyValue("a", "1"),
                             Record::KeyValue("a", "2")};
-  LIQUID_ASSERT_OK(log->Append(&batch));
+  LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   auto stats = log->Compact();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->segments_cleaned, 0);
@@ -107,14 +107,14 @@ TEST_F(LogCompactionTest, TombstonesKeptByDefault) {
     for (int k = 0; k < 5; ++k) {
       batch.push_back(Record::KeyValue("key" + std::to_string(k), "x"));
     }
-    LIQUID_ASSERT_OK(log->Append(&batch));
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   }
   std::vector<Record> del{Record::Tombstone("key0")};
-  LIQUID_ASSERT_OK(log->Append(&del));
+  LIQUID_ASSERT_OK(log->AppendBatch(&del));
   // Push the tombstone out of the active segment.
   for (int i = 0; i < 10; ++i) {
     std::vector<Record> filler{Record::KeyValue("other", "y")};
-    LIQUID_ASSERT_OK(log->Append(&filler));
+    LIQUID_ASSERT_OK(log->AppendBatch(&filler));
   }
   LIQUID_ASSERT_OK(log->Compact());
   const auto view = Materialize(log.get());
@@ -129,14 +129,14 @@ TEST_F(LogCompactionTest, TombstonesDroppedWhenConfigured) {
     for (int k = 0; k < 5; ++k) {
       batch.push_back(Record::KeyValue("key" + std::to_string(k), "x"));
     }
-    LIQUID_ASSERT_OK(log->Append(&batch));
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   }
   std::vector<Record> del{Record::Tombstone("key0")};
-  LIQUID_ASSERT_OK(log->Append(&del));
+  LIQUID_ASSERT_OK(log->AppendBatch(&del));
   // Enough filler to roll the tombstone's segment out of the active position.
   for (int i = 0; i < 60; ++i) {
     std::vector<Record> filler{Record::KeyValue("other", "y")};
-    LIQUID_ASSERT_OK(log->Append(&filler));
+    LIQUID_ASSERT_OK(log->AppendBatch(&filler));
   }
   ASSERT_GT(log->segment_count(), 2);
   LIQUID_ASSERT_OK(log->Compact());
@@ -152,7 +152,7 @@ TEST_F(LogCompactionTest, DisabledCompactionIsNoOp) {
   for (int i = 0; i < 100; ++i) {
     batch.push_back(Record::KeyValue("samekey", "v"));
   }
-  LIQUID_ASSERT_OK((*log)->Append(&batch));
+  LIQUID_ASSERT_OK((*log)->AppendBatch(&batch));
   auto stats = (*log)->Compact();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->segments_cleaned, 0);
@@ -169,7 +169,7 @@ TEST_F(LogCompactionTest, RepeatedCompactionIsIdempotent) {
       batch.push_back(Record::KeyValue("key" + std::to_string(k),
                                        "r" + std::to_string(round)));
     }
-    LIQUID_ASSERT_OK(log->Append(&batch));
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   }
   LIQUID_ASSERT_OK(log->Compact());
   const auto first = Materialize(log.get());
@@ -183,7 +183,7 @@ TEST_F(LogCompactionTest, ValueOnlyRecordsSurviveCompaction) {
   auto log = OpenCompactedLog();
   for (int i = 0; i < 50; ++i) {
     std::vector<Record> batch{Record::ValueOnly("event" + std::to_string(i))};
-    LIQUID_ASSERT_OK(log->Append(&batch));
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   }
   auto stats = log->Compact();
   ASSERT_TRUE(stats.ok());
@@ -200,7 +200,7 @@ TEST_F(LogCompactionTest, ZipfWorkloadShrinksDramatically) {
       batch.push_back(Record::KeyValue("user" + std::to_string(zipf.Next()),
                                        "profile-update"));
     }
-    LIQUID_ASSERT_OK(log->Append(&batch));
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   }
   const uint64_t before = log->size_bytes();
   LIQUID_ASSERT_OK(log->Compact());
@@ -218,7 +218,7 @@ TEST_F(LogCompactionTest, ReadAfterCompactionAcrossReopen) {
         batch.push_back(Record::KeyValue("key" + std::to_string(k),
                                          "r" + std::to_string(round)));
       }
-      LIQUID_ASSERT_OK(log->Append(&batch));
+      LIQUID_ASSERT_OK(log->AppendBatch(&batch));
     }
     LIQUID_ASSERT_OK(log->Compact());
   }

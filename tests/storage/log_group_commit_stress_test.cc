@@ -1,8 +1,9 @@
 // TSan stress for the group-commit + zero-copy machinery: concurrent
 // appenders (some awaiting durability) race the committer thread's fsync
-// window, zero-copy readers pinning cache pages, and cache eviction forced
-// by a small capacity. Run under -fsanitize=thread by scripts/check.sh; the
-// assertions here are secondary to the data-race detection.
+// window, zero-copy and decoding readers pinning cache pages, and cache
+// eviction forced by a small capacity. Run under -fsanitize=thread by
+// scripts/check.sh; the assertions here are secondary to the data-race
+// detection.
 
 #include <gtest/gtest.h>
 
@@ -57,12 +58,11 @@ TEST(LogGroupCommitStressTest, AppendersRaceCommitterAndPinnedReaders) {
               "k" + std::to_string(t) + "-" + std::to_string(i),
               std::string(64, 'v')));
         }
-        AppendOptions options;
-        options.await_durability = (i % 2) == 0;  // Half block on the group.
-        auto result = log->AppendBatch(&batch, options);
+        auto result = log->AppendBatch(&batch);
         ASSERT_TRUE(result.ok()) << result.status().ToString();
-        if (options.await_durability) {
-          const int64_t end = batch.back().offset + 1;
+        if ((i % 2) == 0) {  // Half block on the group.
+          const int64_t end = result->last_offset() + 1;
+          LIQUID_ASSERT_OK(log->AwaitDurable(end));
           int64_t seen = awaited_max_end.load();
           while (end > seen &&
                  !awaited_max_end.compare_exchange_weak(seen, end)) {
@@ -73,13 +73,26 @@ TEST(LogGroupCommitStressTest, AppendersRaceCommitterAndPinnedReaders) {
       }
     });
   }
-  for (int t = 0; t < kReaders; ++t) {
+  // Reader 0 decodes through Log::Read, which drops each batch's page pin
+  // before releasing the log lock.
+  threads.emplace_back([&] {
+    int64_t cursor = 0;
+    while (!stop.load(std::memory_order_acquire)) {
+      std::vector<Record> records;
+      LIQUID_ASSERT_OK(log->Read(cursor, 8 << 10, &records));
+      for (size_t i = 1; i < records.size(); ++i) {
+        ASSERT_EQ(records[i].offset, records[i - 1].offset + 1);
+      }
+      cursor = records.empty() ? 0 : records.back().offset + 1;
+    }
+  });
+  for (int t = 1; t < kReaders; ++t) {
     threads.emplace_back([&] {
       int64_t cursor = 0;
       while (!stop.load(std::memory_order_acquire)) {
         EncodedBatch out;
-        Status st = log->ReadEncoded(cursor, 8 << 10, &out);
-        if (st.ok() && !out.empty()) {
+        LIQUID_ASSERT_OK(log->ReadEncoded(cursor, 8 << 10, &out));
+        if (!out.empty()) {
           // Frames must decode from whatever buffer (pinned page or copy)
           // the read returned, even as appenders extend and evict pages.
           std::vector<Record> decoded;

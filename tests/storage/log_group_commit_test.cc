@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/metrics.h"
 #include "storage/disk.h"
 
 #include "test_util.h"
@@ -44,9 +45,10 @@ class LogGroupCommitTest : public ::testing::Test {
   /// Appends one batch, optionally blocking until it is durable.
   Status Append(Log* log, int records, bool await) {
     auto batch = KeyedBatch(records);
-    AppendOptions options;
-    options.await_durability = await;
-    return log->AppendBatch(&batch, options).status();
+    auto appended = log->AppendBatch(&batch);
+    LIQUID_RETURN_NOT_OK(appended.status());
+    if (!await) return Status::OK();
+    return log->AwaitDurable(appended->last_offset() + 1);
   }
 
   int64_t CountRecords(Log* log) {
@@ -156,6 +158,27 @@ TEST_F(LogGroupCommitTest, EveryBatchSurvivesCrashCompletely) {
   auto log = OpenLog(SyncMode::kEveryBatch);
   EXPECT_EQ(log->end_offset(), 15);
   EXPECT_EQ(CountRecords(log.get()), 15);
+}
+
+TEST_F(LogGroupCommitTest, FollowerAppendsCountAsGroupCommitBatches) {
+  // Replicas of a partition share the liquid.log.<topic>-<p>.* counters and
+  // the committer counts follower fsyncs in group_commit_syncs, so follower
+  // batches must count in group_commit_batches too, or the batches-per-sync
+  // ratio under-reads on replicated topics.
+  auto leader = OpenLog(SyncMode::kNone, "gl/");
+  auto follower = OpenLog(SyncMode::kGroup, "gf/");
+  Counter* batches = MetricsRegistry::Default()->GetCounter(
+      "liquid.log.gf.group_commit_batches");
+  const int64_t before = batches->value();
+  constexpr int kBatches = 7;
+  for (int i = 0; i < kBatches; ++i) {
+    auto records = KeyedBatch(3);
+    auto batch = leader->AppendBatch(&records);
+    LIQUID_ASSERT_OK(batch.status());
+    LIQUID_ASSERT_OK(follower->AppendEncoded(*batch));
+  }
+  EXPECT_EQ(batches->value() - before, kBatches);
+  LIQUID_ASSERT_OK(follower->AwaitDurable(follower->end_offset()));
 }
 
 }  // namespace

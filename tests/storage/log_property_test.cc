@@ -67,7 +67,7 @@ TEST_P(LogPropertyTest, ModelInvariantsHoldUnderRandomOps) {
           batch.push_back(Record::ValueOnly(rng.Bytes(24)));
         }
       }
-      auto base = log->Append(&batch);
+      auto base = log->AppendBatch(&batch);
       ASSERT_TRUE(base.ok());
       for (const Record& record : batch) {
         if (record.has_key) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "common/clock.h"
@@ -37,14 +38,14 @@ class LogTest : public ::testing::Test {
 TEST_F(LogTest, AppendAssignsConsecutiveOffsets) {
   auto log = OpenLog(LogConfig{});
   auto batch = KeyedBatch(5);
-  ASSERT_TRUE(log->Append(&batch).ok());
+  ASSERT_TRUE(log->AppendBatch(&batch).ok());
   for (int i = 0; i < 5; ++i) EXPECT_EQ(batch[i].offset, i);
   EXPECT_EQ(log->end_offset(), 5);
 
   auto batch2 = KeyedBatch(3);
-  auto base = log->Append(&batch2);
+  auto base = log->AppendBatch(&batch2);
   ASSERT_TRUE(base.ok());
-  EXPECT_EQ(*base, 5);
+  EXPECT_EQ(base->base_offset(), 5);
   EXPECT_EQ(log->end_offset(), 8);
 }
 
@@ -52,14 +53,14 @@ TEST_F(LogTest, AppendStampsClockTime) {
   auto log = OpenLog(LogConfig{});
   clock_.SetMs(123456);
   auto batch = KeyedBatch(1);
-  LIQUID_ASSERT_OK(log->Append(&batch));
+  LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   EXPECT_EQ(batch[0].timestamp_ms, 123456);
 }
 
 TEST_F(LogTest, ExplicitTimestampPreserved) {
   auto log = OpenLog(LogConfig{});
   std::vector<Record> batch{Record::KeyValue("k", "v", 42)};
-  LIQUID_ASSERT_OK(log->Append(&batch));
+  LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   std::vector<Record> out;
   LIQUID_ASSERT_OK(log->Read(0, 1 << 20, &out));
   ASSERT_EQ(out.size(), 1u);
@@ -72,7 +73,7 @@ TEST_F(LogTest, RollsSegmentsAtConfiguredSize) {
   auto log = OpenLog(config);
   for (int i = 0; i < 20; ++i) {
     auto batch = KeyedBatch(5);
-    ASSERT_TRUE(log->Append(&batch).ok());
+    ASSERT_TRUE(log->AppendBatch(&batch).ok());
   }
   EXPECT_GT(log->segment_count(), 3);
   // All data still readable across segment boundaries.
@@ -92,7 +93,7 @@ TEST_F(LogTest, BudgetedReadsNeverSkipPastASegmentBoundary) {
   auto log = OpenLog(config);
   for (int i = 0; i < 40; ++i) {
     auto batch = KeyedBatch(5, "key-" + std::to_string(i) + "-");
-    LIQUID_ASSERT_OK(log->Append(&batch));
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   }
   ASSERT_GT(log->segment_count(), 3);
   const int64_t end = log->end_offset();
@@ -120,10 +121,69 @@ TEST_F(LogTest, BudgetedReadsNeverSkipPastASegmentBoundary) {
   }
 }
 
+TEST_F(LogTest, ReadDecodesEveryRecordPastPinnedPagesAndGaps) {
+  // Over a cache-resident log each zero-copy step returns at most one page,
+  // so a 1 MiB Read must keep walking across pages, compaction gaps and
+  // segments until the log ends.
+  PageCache cache({}, &clock_);
+  LogConfig config;
+  config.segment_bytes = 1024;  // Only the last batch stays uncompacted.
+  config.compaction_enabled = true;
+  std::unique_ptr<Log> log =
+      std::move(Log::Open(&disk_, &cache, "pinned/", config, &clock_)).value();
+  std::vector<Record> appended;
+  for (int b = 0; b < 40; ++b) {
+    std::vector<Record> batch = KeyedBatch(8, "k" + std::to_string(b % 5));
+    for (Record& r : batch) r.value.resize(200, 'v');
+    batch[1].trace_id = 77 + b;  // Traced: the frame carries a trace block.
+    batch[2].producer_id = 5;
+    batch[2].sequence = b;
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
+    appended.insert(appended.end(), batch.begin(), batch.end());
+  }
+  LIQUID_ASSERT_OK(log->Compact());
+  ASSERT_GE(log->segment_count(), 2);
+
+  // Expected: the newest record per key. Equal wire encodings mean equal
+  // fields, trace block included.
+  std::map<std::string, Record> latest;
+  for (const Record& r : appended) latest[r.key] = r;
+  std::vector<Record> expected;
+  for (const Record& r : appended) {
+    if (latest[r.key].offset == r.offset) expected.push_back(r);
+  }
+  ASSERT_LT(expected.size(), appended.size());  // Compaction left gaps.
+  std::vector<Record> out;
+  LIQUID_ASSERT_OK(log->Read(0, 1 << 20, &out));
+  EXPECT_EQ(EncodedBatch::Encode(out).bytes().ToString(),
+            EncodedBatch::Encode(expected).bytes().ToString());
+}
+
+TEST_F(LogTest, BitFlipSurfacesAsCorruptionOnRead) {
+  // The segment scan is the one CRC check between disk and a Record; the
+  // decode after it does not re-check, so the scan must still catch this.
+  auto log = OpenLog(LogConfig{}, "flip/");
+  auto batch = KeyedBatch(10);
+  LIQUID_ASSERT_OK(log->AppendBatch(&batch));
+
+  auto file = disk_.OpenOrCreate("flip/00000000000000000000.log");
+  LIQUID_ASSERT_OK(file.status());
+  std::string bytes;
+  LIQUID_ASSERT_OK((*file)->ReadAt(0, (*file)->Size(), &bytes));
+  bytes[10] ^= 0x01;  // Inside the first record's CRC-covered body.
+  LIQUID_ASSERT_OK((*file)->Truncate(0));
+  LIQUID_ASSERT_OK((*file)->Append(bytes));
+
+  std::vector<Record> out;
+  const Status read = log->Read(0, 1 << 20, &out);
+  EXPECT_TRUE(read.IsCorruption()) << read.ToString();
+  EXPECT_TRUE(out.empty());
+}
+
 TEST_F(LogTest, ReadPastEndReturnsEmpty) {
   auto log = OpenLog(LogConfig{});
   auto batch = KeyedBatch(3);
-  LIQUID_ASSERT_OK(log->Append(&batch));
+  LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   std::vector<Record> out;
   ASSERT_TRUE(log->Read(3, 1 << 20, &out).ok());
   EXPECT_TRUE(out.empty());
@@ -138,7 +198,7 @@ TEST_F(LogTest, ReopenRecoversAcrossSegments) {
     auto log = OpenLog(config);
     for (int i = 0; i < 10; ++i) {
       auto batch = KeyedBatch(5);
-      LIQUID_ASSERT_OK(log->Append(&batch));
+      LIQUID_ASSERT_OK(log->AppendBatch(&batch));
     }
     EXPECT_EQ(log->end_offset(), 50);
   }
@@ -196,9 +256,9 @@ TEST_F(LogTest, AppendEncodedFollowsLeader) {
   // Local appends (e.g. after promotion to leader) continue past the
   // replicated range.
   auto local = KeyedBatch(2, "local");
-  auto base = follower->Append(&local);
+  auto base = follower->AppendBatch(&local);
   LIQUID_ASSERT_OK(base.status());
-  EXPECT_EQ(*base, 10);
+  EXPECT_EQ(base->base_offset(), 10);
 }
 
 TEST_F(LogTest, ProducerAppendTakesThePipelineLockThreeTimesPerBatch) {
@@ -222,7 +282,7 @@ TEST_F(LogTest, TruncateDropsSuffix) {
   auto log = OpenLog(config);
   for (int i = 0; i < 10; ++i) {
     auto batch = KeyedBatch(5);
-    LIQUID_ASSERT_OK(log->Append(&batch));
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   }
   ASSERT_TRUE(log->Truncate(23).ok());
   EXPECT_EQ(log->end_offset(), 23);
@@ -233,14 +293,14 @@ TEST_F(LogTest, TruncateDropsSuffix) {
 
   // New appends continue from the truncation point.
   auto batch = KeyedBatch(2);
-  auto base = log->Append(&batch);
-  EXPECT_EQ(*base, 23);
+  auto base = log->AppendBatch(&batch);
+  EXPECT_EQ(base->base_offset(), 23);
 }
 
 TEST_F(LogTest, TruncateToZeroEmptiesLog) {
   auto log = OpenLog(LogConfig{});
   auto batch = KeyedBatch(5);
-  LIQUID_ASSERT_OK(log->Append(&batch));
+  LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   ASSERT_TRUE(log->Truncate(0).ok());
   EXPECT_EQ(log->end_offset(), 0);
   std::vector<Record> out;
@@ -251,7 +311,7 @@ TEST_F(LogTest, TruncateToZeroEmptiesLog) {
 TEST_F(LogTest, TruncatePastEndIsNoOp) {
   auto log = OpenLog(LogConfig{});
   auto batch = KeyedBatch(5);
-  LIQUID_ASSERT_OK(log->Append(&batch));
+  LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   ASSERT_TRUE(log->Truncate(100).ok());
   EXPECT_EQ(log->end_offset(), 5);
 }
@@ -263,7 +323,7 @@ TEST_F(LogTest, OffsetForTimestampAcrossSegments) {
   for (int i = 0; i < 10; ++i) {
     clock_.SetMs(10000 + i * 100);
     auto batch = KeyedBatch(5);
-    LIQUID_ASSERT_OK(log->Append(&batch));
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   }
   // Each batch of 5 shares its timestamp: 10000, 10100, ...
   EXPECT_EQ(*log->OffsetForTimestamp(10000), 0);
@@ -276,7 +336,7 @@ TEST_F(LogTest, SizeBytesGrowsWithData) {
   auto log = OpenLog(LogConfig{});
   EXPECT_EQ(log->size_bytes(), 0u);
   auto batch = KeyedBatch(10);
-  LIQUID_ASSERT_OK(log->Append(&batch));
+  LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   EXPECT_GT(log->size_bytes(), 100u);
 }
 
@@ -288,7 +348,7 @@ TEST_F(LogTest, TimeRetentionDeletesOldSegments) {
   clock_.SetMs(1000);
   for (int i = 0; i < 10; ++i) {
     auto batch = KeyedBatch(5);
-    LIQUID_ASSERT_OK(log->Append(&batch));
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   }
   const int before = log->segment_count();
   ASSERT_GT(before, 2);
@@ -315,7 +375,7 @@ TEST_F(LogTest, SizeRetentionBoundsLog) {
   auto log = OpenLog(config);
   for (int i = 0; i < 40; ++i) {
     auto batch = KeyedBatch(5);
-    LIQUID_ASSERT_OK(log->Append(&batch));
+    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
     LIQUID_ASSERT_OK(log->ApplyRetention());
   }
   EXPECT_LE(log->size_bytes(), 3000u);  // Bounded near the target.
@@ -328,7 +388,7 @@ TEST_F(LogTest, RetentionKeepsFreshData) {
   config.retention_ms = 1000000;
   auto log = OpenLog(config);
   auto batch = KeyedBatch(50);
-  LIQUID_ASSERT_OK(log->Append(&batch));
+  LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   auto deleted = log->ApplyRetention();
   EXPECT_EQ(*deleted, 0);
   EXPECT_EQ(log->start_offset(), 0);
@@ -337,7 +397,7 @@ TEST_F(LogTest, RetentionKeepsFreshData) {
 TEST_F(LogTest, EmptyAppendRejected) {
   auto log = OpenLog(LogConfig{});
   std::vector<Record> empty;
-  EXPECT_TRUE(log->Append(&empty).status().IsInvalidArgument());
+  EXPECT_TRUE(log->AppendBatch(&empty).status().IsInvalidArgument());
 }
 
 }  // namespace

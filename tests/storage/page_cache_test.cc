@@ -40,6 +40,24 @@ TEST_F(PageCacheTest, AppendPopulatesCacheSoTailReadsAreHits) {
   EXPECT_EQ(disk_.read_ops(), 0);  // Never touched the disk for reads.
 }
 
+TEST_F(PageCacheTest, AppendAfterTailPageEvictionKeepsItsHead) {
+  // The tail page of `f` is evicted while half full; the next append must
+  // not recreate it from the appended bytes alone (a zero-filled head would
+  // then be served as file content).
+  PageCache cache(SmallConfig(), &clock_);
+  CachedFile f(std::move(disk_.OpenOrCreate("f")).value(), &cache);
+  CachedFile g(std::move(disk_.OpenOrCreate("g")).value(), &cache);
+  LIQUID_ASSERT_OK(f.Append(std::string(64, 'a')));
+  clock_.AdvanceMs(1000);  // f's page is now clean, so evictable.
+  LIQUID_ASSERT_OK(g.Append(std::string(1024, 'z')));  // Fills the cache.
+  ASSERT_GT(cache.evictions(), 0);
+  LIQUID_ASSERT_OK(f.Append(std::string(64, 'b')));
+
+  std::string out;
+  LIQUID_ASSERT_OK(f.ReadAt(0, 128, &out));
+  EXPECT_EQ(out, std::string(64, 'a') + std::string(64, 'b'));
+}
+
 TEST_F(PageCacheTest, ColdReadMissesThenHits) {
   PageCache cache(SmallConfig(), &clock_);
   // Write the file directly (bypassing the cache): a pre-existing cold log.

@@ -16,7 +16,7 @@ TEST(RecordTest, KeyValueRoundTrip) {
 
   Slice input(buf);
   Record out;
-  ASSERT_TRUE(DecodeRecord(&input, &out).ok());
+  ASSERT_TRUE(DecodeRecord(&input, &out, /*verify_crc=*/true).ok());
   EXPECT_EQ(out.offset, 99);
   EXPECT_EQ(out.timestamp_ms, 1234);
   EXPECT_EQ(out.key, "user42");
@@ -34,7 +34,7 @@ TEST(RecordTest, TombstoneRoundTrip) {
   EncodeRecord(in, &buf);
   Slice input(buf);
   Record out;
-  ASSERT_TRUE(DecodeRecord(&input, &out).ok());
+  ASSERT_TRUE(DecodeRecord(&input, &out, /*verify_crc=*/true).ok());
   EXPECT_TRUE(out.is_tombstone);
   EXPECT_EQ(out.key, "deleted-key");
   EXPECT_TRUE(out.value.empty());
@@ -47,7 +47,7 @@ TEST(RecordTest, ValueOnlyHasNoKey) {
   EncodeRecord(in, &buf);
   Slice input(buf);
   Record out;
-  ASSERT_TRUE(DecodeRecord(&input, &out).ok());
+  ASSERT_TRUE(DecodeRecord(&input, &out, /*verify_crc=*/true).ok());
   EXPECT_FALSE(out.has_key);
   EXPECT_EQ(out.value, "payload");
 }
@@ -61,7 +61,7 @@ TEST(RecordTest, ProducerMetadataRoundTrip) {
   EncodeRecord(in, &buf);
   Slice input(buf);
   Record out;
-  ASSERT_TRUE(DecodeRecord(&input, &out).ok());
+  ASSERT_TRUE(DecodeRecord(&input, &out, /*verify_crc=*/true).ok());
   EXPECT_EQ(out.producer_id, 12345);
   EXPECT_EQ(out.sequence, 42);
 }
@@ -74,7 +74,7 @@ TEST(RecordTest, LeaderEpochAndControlRoundTrip) {
   EncodeRecord(in, &buf);
   Slice input(buf);
   Record out;
-  ASSERT_TRUE(DecodeRecord(&input, &out).ok());
+  ASSERT_TRUE(DecodeRecord(&input, &out, /*verify_crc=*/true).ok());
   EXPECT_TRUE(out.is_control);
   EXPECT_EQ(out.producer_id, 555);
   EXPECT_EQ(out.leader_epoch, 12);
@@ -89,7 +89,7 @@ TEST(RecordTest, DefaultLeaderEpochIsMinusOne) {
   EncodeRecord(in, &buf);
   Slice input(buf);
   Record out;
-  ASSERT_TRUE(DecodeRecord(&input, &out).ok());
+  ASSERT_TRUE(DecodeRecord(&input, &out, /*verify_crc=*/true).ok());
   EXPECT_EQ(out.leader_epoch, -1);
   EXPECT_FALSE(out.is_control);
 }
@@ -101,7 +101,7 @@ TEST(RecordTest, EmptyKeyAndValue) {
   EncodeRecord(in, &buf);
   Slice input(buf);
   Record out;
-  ASSERT_TRUE(DecodeRecord(&input, &out).ok());
+  ASSERT_TRUE(DecodeRecord(&input, &out, /*verify_crc=*/true).ok());
   EXPECT_TRUE(out.key.empty());
   EXPECT_TRUE(out.value.empty());
   EXPECT_TRUE(out.has_key);
@@ -128,7 +128,7 @@ TEST(RecordTest, TracedRecordRoundTrip) {
 
   Slice input(buf);
   Record out;
-  ASSERT_TRUE(DecodeRecord(&input, &out).ok());
+  ASSERT_TRUE(DecodeRecord(&input, &out, /*verify_crc=*/true).ok());
   EXPECT_TRUE(out.traced());
   EXPECT_EQ(out.trace_id, 0xfeedfacecafebeefull);
   EXPECT_EQ(out.span_id, 77u);
@@ -148,7 +148,7 @@ TEST(RecordTest, UntracedEncodingUnchangedByTraceFields) {
   EncodeRecord(in, &buf);
   Slice input(buf);
   Record out;
-  ASSERT_TRUE(DecodeRecord(&input, &out).ok());
+  ASSERT_TRUE(DecodeRecord(&input, &out, /*verify_crc=*/true).ok());
   EXPECT_FALSE(out.traced());
   EXPECT_EQ(out.trace_id, 0u);
   EXPECT_EQ(out.span_id, 0u);
@@ -164,7 +164,10 @@ TEST(RecordTest, CorruptedByteDetectedByCrc) {
   buf[buf.size() - 1] ^= 0x01;
   Slice input(buf);
   Record out;
-  EXPECT_TRUE(DecodeRecord(&input, &out).IsCorruption());
+  EXPECT_TRUE(DecodeRecord(&input, &out, /*verify_crc=*/true).IsCorruption());
+  // Unchecked, the same bytes decode: the flag alone catches the flip.
+  Slice unchecked(buf);
+  EXPECT_TRUE(DecodeRecord(&unchecked, &out, /*verify_crc=*/false).ok());
 }
 
 TEST(RecordTest, TruncatedBodyDetected) {
@@ -175,45 +178,13 @@ TEST(RecordTest, TruncatedBodyDetected) {
   buf.resize(buf.size() - 5);
   Slice input(buf);
   Record out;
-  EXPECT_TRUE(DecodeRecord(&input, &out).IsCorruption());
+  EXPECT_TRUE(DecodeRecord(&input, &out, /*verify_crc=*/true).IsCorruption());
 }
 
 TEST(RecordTest, EmptyInputIsOutOfRange) {
   Slice input("");
   Record out;
-  EXPECT_TRUE(DecodeRecord(&input, &out).IsOutOfRange());
-}
-
-TEST(RecordTest, DecodeRecordsStopsAtTruncatedTail) {
-  std::string buf;
-  for (int i = 0; i < 3; ++i) {
-    Record r = Record::KeyValue("k" + std::to_string(i), "v");
-    r.offset = i;
-    EncodeRecord(r, &buf);
-  }
-  const size_t full = buf.size();
-  buf.resize(full - 7);  // Chop into the last record.
-  std::vector<Record> records;
-  ASSERT_TRUE(DecodeRecords(Slice(buf), &records).ok());
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].key, "k0");
-  EXPECT_EQ(records[1].key, "k1");
-}
-
-TEST(RecordTest, DecodeRecordsAll) {
-  std::string buf;
-  for (int i = 0; i < 10; ++i) {
-    Record r = Record::KeyValue("k", std::string(i * 10, 'x'));
-    r.offset = i;
-    EncodeRecord(r, &buf);
-  }
-  std::vector<Record> records;
-  ASSERT_TRUE(DecodeRecords(Slice(buf), &records).ok());
-  ASSERT_EQ(records.size(), 10u);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(records[i].offset, i);
-    EXPECT_EQ(records[i].value.size(), static_cast<size_t>(i * 10));
-  }
+  EXPECT_TRUE(DecodeRecord(&input, &out, /*verify_crc=*/true).IsOutOfRange());
 }
 
 TEST(RecordTest, BinarySafeKeyAndValue) {
@@ -225,7 +196,7 @@ TEST(RecordTest, BinarySafeKeyAndValue) {
   EncodeRecord(in, &buf);
   Slice input(buf);
   Record out;
-  ASSERT_TRUE(DecodeRecord(&input, &out).ok());
+  ASSERT_TRUE(DecodeRecord(&input, &out, /*verify_crc=*/true).ok());
   EXPECT_EQ(out.key, key);
   EXPECT_EQ(out.value, value);
 }
