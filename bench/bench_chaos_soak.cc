@@ -1,8 +1,10 @@
 // Chaos soak harness (DESIGN.md §7): drives the workload generators against
-// a 3-broker cluster while a seeded fault schedule injects fsync failures,
-// replication faults, produce latency spikes and election losses, and the
-// driver power-cycles partition leaders mid-produce. Throughout, it checks
-// the delivery invariants the paper promises (§4.3):
+// a 3-broker sync_mode=group cluster while a seeded fault schedule injects
+// fsync failures, replication faults, produce latency spikes and election
+// losses, and the driver power-cycles partition leaders mid-produce and, now
+// and then, a partition's whole replica set (followers restart first, so a
+// once-follower may win the election). Throughout, it checks the delivery
+// invariants the paper promises (§4.3):
 //
 //   * every acknowledged record is fetchable after recovery,
 //   * per-key order is preserved (one producer, hash partitioning),
@@ -89,7 +91,9 @@ int64_t SeqOf(const std::string& value) {
 
 struct SoakOptions {
   int rounds = 400;
-  int kill_every = 60;     // Rounds between scheduled leader kills.
+  // Rounds between scheduled leader kills; halfway between two of them the
+  // whole replica set of one partition is power-cycled instead.
+  int kill_every = 60;
   int down_rounds = 6;     // Rounds a killed broker stays down.
   bool broken_acks = false;
   bool verbose = false;
@@ -106,6 +110,7 @@ struct SoakReport {
   int64_t consumer_redeliveries = 0;
   int64_t acked_not_consumed = 0;
   int64_t kills = 0;
+  int64_t isr_cycles = 0;  // Whole-replica-set power-cycles.
   int64_t send_giveups = 0;
   double leader_failover_ms = 0;       // Mean over kills.
   double first_ack_after_restart_ms = 0;  // Mean over restarts.
@@ -128,11 +133,12 @@ class ChaosSoak {
     topic.partitions = kPartitions;
     topic.replication_factor = 3;
     topic.min_insync_replicas = 2;
-    // The harness's central wager: acks must imply durability. The broken
-    // mode acknowledges on the leader's in-memory append (no fsync), which
-    // the crash-restart churn below must expose as lost acked records.
+    // The harness's central wager: acks must imply durability on every
+    // replica they count. The broken mode acknowledges on the leader's
+    // in-memory append (no fsync), which the crash-restart churn below must
+    // expose as lost acked records.
     topic.log.sync_mode = options_.broken_acks ? storage::SyncMode::kNone
-                                               : storage::SyncMode::kEveryBatch;
+                                               : storage::SyncMode::kGroup;
     LIQUID_CHECK_OK(cluster.CreateTopic("t", topic));
 
     ProducerConfig producer_config;
@@ -214,7 +220,48 @@ class ChaosSoak {
           !FaultRegistry::Default()->DrainCrashRequests().empty();
       const bool scheduled_kill =
           options_.kill_every > 0 && round % options_.kill_every == 10;
-      if (down_broker < 0 && (crash_requested || scheduled_kill)) {
+      // Halfway between two leader kills, one partition's whole replica set
+      // loses power. For the three rounds before, its followers fail every
+      // fsync: acks=all may count a follower only once its copy is durable,
+      // so they must leave the ISR rather than carry acked records that the
+      // power loss then erases when a once-follower wins the election.
+      const int phase =
+          options_.kill_every > 0 ? round % options_.kill_every : -1;
+      const int cycle_phase = options_.kill_every / 2 + 10;
+      const TopicPartition cycle_tp{
+          "t", static_cast<int>(report_.isr_cycles) % kPartitions};
+      if (phase == cycle_phase - 3 && down_broker < 0) {
+        auto state = cluster.GetPartitionState(cycle_tp);
+        if (state.ok()) {
+          for (int id : state->replicas) {
+            if (id == state->leader) continue;
+            cluster.disk(id)->SetSyncFaultHook([](const std::string&) {
+              return Status::IOError("soak: follower fsync fault");
+            });
+            syncless_.push_back(id);
+          }
+        }
+      }
+      if (phase == cycle_phase && down_broker >= 0) {
+        ClearSyncFaults(&cluster);  // A leader kill got in first: skip.
+      }
+      if (phase == cycle_phase && down_broker < 0) {
+        // Followers restart first; only what each replica fsynced survives.
+        auto state = cluster.GetPartitionState(cycle_tp);
+        LIQUID_CHECK_OK(state.status());
+        std::vector<int> order = state->replicas;
+        std::stable_partition(order.begin(), order.end(),
+                              [&](int id) { return id != state->leader; });
+        for (int id : order) {
+          LIQUID_CHECK_OK(cluster.StopBroker(id));
+          cluster.disk(id)->SimulateCrash();
+        }
+        ClearSyncFaults(&cluster);
+        for (int id : order) LIQUID_CHECK_OK(cluster.RestartBroker(id));
+        ++report_.isr_cycles;
+        awaiting_restart_ack = true;
+        restart_timer.Reset();
+      } else if (down_broker < 0 && (crash_requested || scheduled_kill)) {
         const TopicPartition tp{"t", static_cast<int>(report_.kills) %
                                          kPartitions};
         auto state = cluster.GetPartitionState(tp);
@@ -242,6 +289,7 @@ class ChaosSoak {
     // Final recovery: disarm chaos, revive everything, let replication and
     // the consumer group catch up, then audit the logs.
     FaultRegistry::Default()->Clear();
+    ClearSyncFaults(&cluster);
     if (down_broker >= 0) LIQUID_CHECK_OK(cluster.RestartBroker(down_broker));
     for (int i = 0; i < 8; ++i) cluster.ReplicationTick();
     DrainRemainingPending(&producer);
@@ -273,6 +321,11 @@ class ChaosSoak {
   }
 
  private:
+  void ClearSyncFaults(Cluster* cluster) {
+    for (int id : syncless_) cluster->disk(id)->SetSyncFaultHook(nullptr);
+    syncless_.clear();
+  }
+
   std::vector<storage::Record> MakeBatch(int partition) {
     std::vector<storage::Record> batch;
     while (batch.size() < kRecordsPerBatch) {
@@ -427,6 +480,7 @@ class ChaosSoak {
   std::map<std::string, std::set<int64_t>> consumed_;
   std::map<std::string, int64_t> consumed_high_;
   int64_t send_failures_ = 0;
+  std::vector<int> syncless_;  // Brokers whose disk currently fails fsync.
   SoakReport report_;
 };
 
@@ -443,14 +497,16 @@ int Run(const SoakOptions& options) {
       {"consumer_redeliveries", std::to_string(report.consumer_redeliveries)});
   table.AddRow({"acked_not_consumed", std::to_string(report.acked_not_consumed)});
   table.AddRow({"kills", std::to_string(report.kills)});
+  table.AddRow({"isr_cycles", std::to_string(report.isr_cycles)});
   table.AddRow({"send_giveups", std::to_string(report.send_giveups)});
   table.AddRow({"leader_failover_ms", Fmt(report.leader_failover_ms, 2)});
   table.AddRow(
       {"first_ack_after_restart_ms", Fmt(report.first_ack_after_restart_ms, 2)});
   table.AddRow({"consumers_caught_up", report.consumers_caught_up ? "yes" : "no"});
   table.AddRow({"verdict", report.ok ? "PASS" : "FAIL"});
-  table.Print("chaos soak (3 brokers, rf=3, min_insync=2, idempotent producer, "
-              "seeded fault schedule + leader power-cycles)");
+  table.Print("chaos soak (3 brokers, rf=3, min_insync=2, sync=group, "
+              "idempotent producer, seeded fault schedule + leader and "
+              "whole-replica-set power-cycles)");
 
   if (options.json_path != nullptr) {
     std::ofstream out(options.json_path, std::ios::trunc);
@@ -465,6 +521,7 @@ int Run(const SoakOptions& options) {
         << ", \"consumer_redeliveries\": " << report.consumer_redeliveries
         << ", \"acked_not_consumed\": " << report.acked_not_consumed
         << ", \"kills\": " << report.kills
+        << ", \"isr_cycles\": " << report.isr_cycles
         << ", \"leader_failover_ms\": " << Fmt(report.leader_failover_ms, 3)
         << ", \"first_ack_after_restart_ms\": "
         << Fmt(report.first_ack_after_restart_ms, 3) << "}\n  ]\n}\n";

@@ -6,8 +6,8 @@
 // replication) survives a leader crash without losing acknowledged records.
 //
 // The single-node (fsync) side of the same trade-off lives in E16
-// (bench_insert_sweep): LogConfig::sync_mode none/every_batch/group, where
-// group commit coalesces concurrent producers' fsyncs (DESIGN.md §6c). The
+// (bench_insert_sweep): LogConfig::sync_mode none/group, where group commit
+// coalesces concurrent producers' fsyncs (DESIGN.md §6c). The
 // E7b no-acked-loss invariant extends there via
 // tests/messaging/group_commit_produce_test.cc.
 

@@ -4,11 +4,11 @@
 // from a fixed baseline point (acks=1, sync=none, 100-record batches of
 // 100-byte values, 1 partition), so each curve isolates one effect:
 //
-//   - ack_x_sync:   ack level (0/1/all) x sync_mode (none/every_batch/group)
-//                   with 4 concurrent producers. The headline: group commit
+//   - ack_x_sync:   ack level (0/1/all) x sync_mode (none/group) with 4
+//                   concurrent producers. The headline: group commit
 //                   coalesces the producers' fsyncs into one per window, so
-//                   sync=group recovers most of sync=none's throughput while
-//                   every_batch pays one fsync per batch (DESIGN.md §6c).
+//                   acks=all on sync=group recovers most of sync=none's
+//                   throughput (DESIGN.md §6c).
 //   - batch_records: records per produce request. Throughput rises steeply
 //                   then flattens once per-request overhead is amortized —
 //                   the curve shape Hesse et al. report for Kafka.
@@ -29,8 +29,8 @@
 //
 // --json[=path] emits BENCH_insert_sweep.json for CI trend tracking
 // (scripts/bench_compare.py). --quick runs a 4-point smoke (baseline,
-// acks=all/every_batch, acks=all/group, 4 producers on one partition) used
-// by scripts/check.sh and CI.
+// acks=all/none, acks=all/group, 4 producers on one partition) used by
+// scripts/check.sh and CI.
 
 #include <algorithm>
 #include <atomic>
@@ -74,8 +74,6 @@ const char* SyncName(storage::SyncMode mode) {
   switch (mode) {
     case storage::SyncMode::kNone:
       return "none";
-    case storage::SyncMode::kEveryBatch:
-      return "every_batch";
     case storage::SyncMode::kGroup:
       return "group";
   }
@@ -144,7 +142,7 @@ SweepPoint RunPoint(const PointSpec& spec, int64_t target_records) {
   config.num_brokers = 1;
   // Cheap writes, expensive fsync: the regime where sync_mode matters. The
   // fsync cost is scaled like DiskLatencyModel::ScaledHdd (8 ms / 20) so the
-  // every_batch floor is visible without making the sweep take minutes.
+  // cost of a sync window is visible without making the sweep take minutes.
   config.disk_latency.write_seek_us = 5;
   config.disk_latency.sync_us = 400;
   auto cluster = std::make_unique<Cluster>(config, &clock);
@@ -222,15 +220,14 @@ SweepPoint RunPoint(const PointSpec& spec, int64_t target_records) {
 std::vector<PointSpec> BuildSweep(bool quick) {
   std::vector<PointSpec> specs;
   if (quick) {
-    // The 4-point smoke: baseline, the fsync-per-batch floor, group commit
-    // recovering from it, and 4 producers on one contended partition. CI
-    // asserts only that these run and emit.
+    // The 4-point smoke: baseline, the none/group durability pair at
+    // acks=all, and 4 producers on one contended partition. CI asserts only
+    // that these run and emit.
     PointSpec base;
     base.axis = "ack_x_sync";
     base.threads = 4;
     specs.push_back(base);
     base.acks = AckMode::kAll;
-    base.sync = storage::SyncMode::kEveryBatch;
     specs.push_back(base);
     base.sync = storage::SyncMode::kGroup;
     specs.push_back(base);
@@ -241,8 +238,7 @@ std::vector<PointSpec> BuildSweep(bool quick) {
     return specs;
   }
   for (storage::SyncMode sync :
-       {storage::SyncMode::kNone, storage::SyncMode::kEveryBatch,
-        storage::SyncMode::kGroup}) {
+       {storage::SyncMode::kNone, storage::SyncMode::kGroup}) {
     for (AckMode acks : {AckMode::kNone, AckMode::kLeader, AckMode::kAll}) {
       PointSpec s;
       s.axis = "ack_x_sync";

@@ -172,7 +172,7 @@ fi
 # (scripts/bench_compare.py diffs two emission runs and fails on >10%
 # regressions). bench_log_throughput is filtered to one cheap leg;
 # bench_parallel_produce and bench_insert_sweep run --quick (the latter's
-# 4 points: baseline, the every_batch / group durability pair, and 4
+# 4 points: baseline, the acks=all none / group durability pair, and 4
 # producers on one partition): the gate checks emission and the point
 # count, not trends.
 note "bench emission (pipeline_latency, log_throughput, parallel_produce, insert_sweep)"
@@ -197,8 +197,9 @@ fi
 
 # ---- 10. Chaos smoke --------------------------------------------------------
 # Two runs of the chaos soak (DESIGN.md §7), both on the fixed default seed:
-#   a) the real build must survive the fault schedule + leader power-cycles
-#      with zero acked-record loss, duplicates, or reordering (exit 0);
+#   a) the real build (sync_mode=group) must survive the fault schedule,
+#      leader power-cycles and whole-replica-set power-cycles with zero
+#      acked-record loss, duplicates, or reordering (exit 0);
 #   b) --broken-acks (acknowledge before durable) must make the harness FAIL
 #      (nonzero exit) — proving the invariant checks can actually detect an
 #      acks/durability bug, not just that nothing happened.

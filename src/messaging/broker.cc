@@ -20,10 +20,6 @@ std::string HwCheckpointName(const TopicPartition& tp) {
   return tp.ToString() + ".hw";
 }
 
-std::string EpochCacheName(const TopicPartition& tp) {
-  return tp.ToString() + ".epochs";
-}
-
 bool Contains(const std::vector<int>& v, int x) {
   return std::find(v.begin(), v.end(), x) != v.end();
 }
@@ -163,7 +159,7 @@ Status Broker::EnsureLogLocked(const TopicPartition& tp, Replica* replica) {
       "liquid.broker." + std::to_string(id_) + ".partition." + tp.ToString() +
       ".append_records");
   LIQUID_RETURN_NOT_OK(LoadHighWatermarkLocked(tp, replica));
-  return LoadEpochCacheLocked(tp, replica);
+  return LoadEpochCacheLocked(replica);
 }
 
 Status Broker::LoadHighWatermarkLocked(const TopicPartition& tp,
@@ -206,49 +202,28 @@ void Broker::StoreHighWatermarkLocked(const TopicPartition& tp,
   }
 }
 
-Status Broker::LoadEpochCacheLocked(const TopicPartition& tp,
-                                    Replica* replica) {
+Status Broker::LoadEpochCacheLocked(Replica* replica) {
+  // Derived from the log, not from a checkpoint file: every frame carries
+  // the epoch of the leader that appended it, so after a power loss the
+  // cache describes exactly the records that survived, and KIP-101
+  // reconciliation still finds a restarted replica's divergent suffix.
   replica->epoch_cache.clear();
-  const std::string name = EpochCacheName(tp);
-  if (!disk_->Exists(name)) return Status::OK();
-  auto file = disk_->OpenOrCreate(name);
-  if (!file.ok()) return file.status();
-  std::string bytes;
-  LIQUID_RETURN_NOT_OK((*file)->ReadAt(0, (*file)->Size(), &bytes));
-  Slice cursor(bytes);
-  while (cursor.size() >= 12) {
-    uint32_t epoch = 0;
-    uint64_t start = 0;
-    LIQUID_RETURN_NOT_OK(GetFixed32(&cursor, &epoch));
-    LIQUID_RETURN_NOT_OK(GetFixed64(&cursor, &start));
-    replica->epoch_cache.emplace_back(static_cast<int>(epoch),
-                                      static_cast<int64_t>(start));
+  int64_t cursor = replica->log->start_offset();
+  const int64_t end = replica->log->end_offset();
+  storage::EncodedBatch batch;
+  while (cursor < end) {
+    LIQUID_RETURN_NOT_OK(replica->log->ReadEncoded(cursor, 1 << 20, &batch));
+    if (batch.empty()) break;
+    for (const auto& frame : batch.frames()) {
+      NoteEpochLocked(replica, frame.leader_epoch, frame.offset);
+    }
+    cursor = batch.last_offset() + 1;
   }
   return Status::OK();
 }
 
-void Broker::StoreEpochCacheLocked(const TopicPartition& tp, Replica* replica) {
-  auto write = [&]() -> Status {
-    auto file = disk_->OpenOrCreate(EpochCacheName(tp));
-    if (!file.ok()) return file.status();
-    std::string bytes;
-    for (const auto& [epoch, start] : replica->epoch_cache) {
-      PutFixed32(&bytes, static_cast<uint32_t>(epoch));
-      PutFixed64(&bytes, static_cast<uint64_t>(start));
-    }
-    LIQUID_RETURN_NOT_OK((*file)->Truncate(0));
-    return (*file)->Append(bytes);
-  };
-  // Same write-behind contract as the HW checkpoint: full rewrite each time,
-  // so a failed store degrades recovery freshness only and is self-healing.
-  if (const Status st = write(); !st.ok()) {
-    LIQUID_LOG_WARN << "broker " << id_ << ": epoch cache store failed for "
-                    << tp.ToString() << ": " << st.ToString();
-  }
-}
-
-void Broker::NoteEpochLocked(const TopicPartition& tp, Replica* replica,
-                             int epoch, int64_t start_offset) {
+void Broker::NoteEpochLocked(Replica* replica, int epoch,
+                             int64_t start_offset) {
   if (epoch < 0) return;
   if (!replica->epoch_cache.empty() &&
       replica->epoch_cache.back().first >= epoch) {
@@ -256,18 +231,13 @@ void Broker::NoteEpochLocked(const TopicPartition& tp, Replica* replica,
   }
   // liquid-lint: allow(hot-alloc): grows only on a leader-epoch bump (rare control-plane event), never per record.
   replica->epoch_cache.emplace_back(epoch, start_offset);
-  StoreEpochCacheLocked(tp, replica);
 }
 
-void Broker::TrimEpochCacheLocked(const TopicPartition& tp, Replica* replica,
-                                  int64_t offset) {
-  bool changed = false;
+void Broker::TrimEpochCacheLocked(Replica* replica, int64_t offset) {
   while (!replica->epoch_cache.empty() &&
          replica->epoch_cache.back().second >= offset) {
     replica->epoch_cache.pop_back();
-    changed = true;
   }
-  if (changed) StoreEpochCacheLocked(tp, replica);
 }
 
 int Broker::LastLocalEpochLocked(const Replica& replica) {
@@ -346,7 +316,7 @@ Status Broker::BecomeLeader(const TopicPartition& tp, const PartitionState& stat
   if (replica.producer_last_seq.empty()) {
     LIQUID_RETURN_NOT_OK(RebuildProducerStateLocked(&replica));
   }
-  NoteEpochLocked(tp, &replica, state.leader_epoch, replica.log->end_offset());
+  NoteEpochLocked(&replica, state.leader_epoch, replica.log->end_offset());
   // If the ISR collapsed to this broker alone, everything local is committed
   // (it was in the ISR for every acknowledged write).
   AdvanceHighWatermarkLocked(tp, &replica);
@@ -405,7 +375,7 @@ Status Broker::BecomeFollower(const TopicPartition& tp,
     offset = std::min(offset, replica->log->end_offset());
     if (replica->log->end_offset() > offset) {
       LIQUID_RETURN_NOT_OK(replica->log->Truncate(offset));
-      TrimEpochCacheLocked(tp, replica, offset);
+      TrimEpochCacheLocked(replica, offset);
       if (replica->high_watermark > offset) {
         replica->high_watermark = offset;
         StoreHighWatermarkLocked(tp, replica);
@@ -593,10 +563,10 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
   }
   std::vector<int> push_targets;
   int epoch = 0;
-  int64_t base = 0;
+  int64_t base = -1;
   int64_t leo = 0;
   int64_t leader_hw = 0;
-  bool group_sync = false;
+  bool duplicate = false;
   storage::EncodedBatch batch;
   {
     ReaderMutexLock map_lock(&map_mu_);
@@ -620,73 +590,67 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
       auto it = replica->producer_last_seq.find(producer_id);
       const int32_t last = it == replica->producer_last_seq.end() ? -1 : it->second;
       if (first_sequence <= last) {
-        // Duplicate batch (retry after a lost ack): deduplicate.
+        // Duplicate batch (retry after a lost or failed ack): deduplicate.
         produce_duplicates_dropped_->Increment();
-        ProduceResponse resp;
-        resp.base_offset = -1;
-        resp.log_end_offset = replica->log->end_offset();
-        resp.throttle_ms = throttle_ms;
-        return resp;
-      }
-      if (first_sequence != last + 1) {
+        duplicate = true;
+      } else if (first_sequence != last + 1) {
         return Status::InvalidArgument("out-of-order producer sequence");
-      }
-      replica->producer_last_seq[producer_id] =
-          first_sequence + static_cast<int32_t>(records.size()) - 1;
-      advanced_seq = true;
-      prev_seq = last;
-      int32_t seq = first_sequence;
-      for (auto& record : records) {
-        record.producer_id = producer_id;
-        record.sequence = seq++;
-      }
-    }
-    for (auto& record : records) record.leader_epoch = replica->leader_epoch;
-    // Encode-once: the batch buffer produced here is the exact bytes on our
-    // disk, and the same buffer is forwarded to followers below.
-    const int64_t pre_append_end = replica->log->end_offset();
-    auto batch_result = replica->log->AppendBatch(&records);
-    if (!batch_result.ok()) {
-      // end_offset() advances only when the write itself committed, so it
-      // distinguishes "batch never entered the log" from "batch is in the
-      // log but its every-batch fsync failed" (phase 6). Only the former
-      // rolls the dedup window back: the producer retries a rejected append
-      // with the same sequence, which must not be dropped as a duplicate.
-      // After a sync failure the records are readable in the log, so keeping
-      // the window advanced turns the producer's same-sequence resend into a
-      // duplicate-drop acknowledgment instead of a second, duplicating
-      // append.
-      const bool landed = replica->log->end_offset() > pre_append_end;
-      if (advanced_seq && !landed) {
-        if (prev_seq < 0) {
-          replica->producer_last_seq.erase(producer_id);
-        } else {
-          replica->producer_last_seq[producer_id] = prev_seq;
+      } else {
+        replica->producer_last_seq[producer_id] =
+            first_sequence + static_cast<int32_t>(records.size()) - 1;
+        advanced_seq = true;
+        prev_seq = last;
+        int32_t seq = first_sequence;
+        for (auto& record : records) {
+          record.producer_id = producer_id;
+          record.sequence = seq++;
         }
       }
-      return batch_result.status();
     }
-    batch = std::move(batch_result).value();
-    base = batch.base_offset();
-    leo = batch.last_offset() + 1;
-    broker_produce_records_->Increment(static_cast<int64_t>(records.size()));
-    replica->append_records->Increment(static_cast<int64_t>(records.size()));
+    if (duplicate) {
+      // The original may be in the log but not yet durable (its sync failed,
+      // so it was never acked): an acks=all duplicate waits, below, for
+      // everything up to the current log end.
+      leo = replica->log->end_offset();
+    } else {
+      for (auto& record : records) record.leader_epoch = replica->leader_epoch;
+      // Encode-once: the batch buffer produced here is the exact bytes on
+      // our disk, and the same buffer is forwarded to followers below.
+      auto batch_result = replica->log->AppendBatch(&records);
+      if (!batch_result.ok()) {
+        // AppendBatch fails only before the batch lands, so roll the dedup
+        // window back: the producer retries with the same sequence, which
+        // must not be dropped as a duplicate.
+        if (advanced_seq) {
+          if (prev_seq < 0) {
+            replica->producer_last_seq.erase(producer_id);
+          } else {
+            replica->producer_last_seq[producer_id] = prev_seq;
+          }
+        }
+        return batch_result.status();
+      }
+      batch = std::move(batch_result).value();
+      base = batch.base_offset();
+      leo = batch.last_offset() + 1;
+      broker_produce_records_->Increment(static_cast<int64_t>(records.size()));
+      replica->append_records->Increment(static_cast<int64_t>(records.size()));
+    }
     if (acks != AckMode::kAll) {
+      ProduceResponse resp;
+      resp.base_offset = base;
+      resp.log_end_offset = leo;
+      resp.throttle_ms = throttle_ms;
+      if (duplicate) return resp;
       AdvanceHighWatermarkLocked(tp, replica);
       // Chaos surface: the batch is appended but the acknowledgment is lost
       // or delayed — the retry/idempotence path must absorb the resend.
       LIQUID_FAULT_POINT("broker.produce.before_ack");
       observe_append(records);
-      ProduceResponse resp;
-      resp.base_offset = base;
-      resp.log_end_offset = leo;
-      resp.throttle_ms = throttle_ms;
       return resp;
     }
     epoch = replica->leader_epoch;
     leader_hw = replica->high_watermark;
-    group_sync =
-        replica->log->config().sync_mode == storage::SyncMode::kGroup;
     push_targets.reserve(replica->isr.size());
     for (int member : replica->isr) {
       if (member != id_) push_targets.push_back(member);
@@ -696,46 +660,95 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
   // acks=all: synchronously replicate to ISR followers (their pull loop,
   // executed inline) without holding any lock (avoids lock cycles). The
   // follower receives the leader's encoded bytes, not re-encoded Records.
+  // A duplicate has nothing new to push.
   std::vector<int> failed;
   failed.reserve(push_targets.size());
-  for (int member : push_targets) {
-    Broker* follower = cluster_->broker(member);
-    Status st = follower == nullptr
-                    ? Status::Unavailable("no such broker")
-                    : follower->AppendEncodedAsFollower(tp, batch, epoch,
-                                                        leader_hw);
-    if (!st.ok()) failed.push_back(member);
-  }
-
-  // Group-commit durability: a kAll acknowledgment also covers our own fsync
-  // (DESIGN.md §6c). The wait runs after follower replication so the sync
-  // window overlaps the replication round-trips, and holds only the shared
-  // membership lock — which keeps the Replica (and its log) alive, since
-  // erasing one needs map_mu_ exclusive — but NOT the replica lock, so
-  // same-partition producers keep filling the window we are waiting on.
-  if (group_sync) {
-    ReaderMutexLock map_lock(&map_mu_);
-    auto replica_result = FindReplicaShared(tp);
-    if (replica_result.ok()) {
-      storage::Log* log = nullptr;
-      {
-        MutexLock lock(&(*replica_result)->mu);
-        log = (*replica_result)->log.get();
-      }
-      if (log != nullptr) LIQUID_RETURN_NOT_OK(log->AwaitDurable(leo));
+  if (!duplicate) {
+    for (int member : push_targets) {
+      Broker* follower = cluster_->broker(member);
+      Status st = follower == nullptr
+                      ? Status::Unavailable("no such broker")
+                      : follower->AppendEncodedAsFollower(tp, batch, epoch,
+                                                          leader_hw);
+      if (!st.ok()) failed.push_back(member);
     }
   }
+  LIQUID_RETURN_NOT_OK(AwaitIsrDurable(tp, epoch, leo, /*pushed=*/!duplicate,
+                                       push_targets, std::move(failed)));
+  ProduceResponse resp;
+  resp.base_offset = base;
+  resp.log_end_offset = leo;
+  resp.throttle_ms = throttle_ms;
+  if (duplicate) return resp;
+  // Chaos surface: appended AND replicated, but the acknowledgment is lost —
+  // the strongest duplicate-generation point for idempotence tests.
+  LIQUID_FAULT_POINT("broker.produce.before_ack");
+  observe_append(records);
+  return resp;
+}
 
+Status Broker::AwaitReplicaDurable(const TopicPartition& tp,
+                                   int64_t end_offset) {
+  // The shared membership hold keeps the Replica (and its log) alive across
+  // the wait, since erasing one needs map_mu_ exclusive; the replica lock is
+  // NOT held, so producers to this partition keep filling the sync window
+  // being waited on (DESIGN.md §6c contract 3).
+  ReaderMutexLock map_lock(&map_mu_);
+  LIQUID_ASSIGN_OR_RETURN(Replica * replica, FindReplicaShared(tp));
+  storage::Log* log = nullptr;
+  {
+    MutexLock lock(&replica->mu);
+    log = replica->log.get();
+  }
+  if (log->config().sync_mode != storage::SyncMode::kGroup) {
+    return Status::OK();  // kNone: acks promise replication, not disk.
+  }
+  return log->AwaitDurable(end_offset);
+}
+
+Status Broker::AwaitIsrDurable(const TopicPartition& tp, int epoch,
+                               int64_t end_offset, bool pushed,
+                               const std::vector<int>& followers,
+                               std::vector<int> failed) {
+  // No broker lock is held across these waits or the follower calls.
+  LIQUID_RETURN_NOT_OK(AwaitReplicaDurable(tp, end_offset));
+  if (pushed) {
+    // The high watermark tracks replication, as on the pull path (Fetch):
+    // with the leader's copy durable, the followers the push reached make
+    // the batch visible now. Only the acknowledgment waits for their fsyncs.
+    LIQUID_RETURN_NOT_OK(SettleIsr(tp, epoch, end_offset, followers, failed));
+  }
+  // Every follower's committer is already syncing (the push woke it), so
+  // waiting on them in turn costs about the slowest window, not their sum.
+  const size_t pushes_failed = failed.size();
+  failed.reserve(followers.size());
+  for (int member : followers) {
+    if (Contains(failed, member)) continue;
+    Broker* follower = cluster_->broker(member);
+    if (follower == nullptr ||
+        !follower->AwaitReplicaDurable(tp, end_offset).ok()) {
+      failed.push_back(member);
+    }
+  }
+  if (failed.size() == pushes_failed) return Status::OK();
+  return SettleIsr(tp, epoch, end_offset, followers, failed);
+}
+
+Status Broker::SettleIsr(const TopicPartition& tp, int epoch,
+                         int64_t end_offset, const std::vector<int>& followers,
+                         const std::vector<int>& failed) {
   std::optional<std::vector<int>> publish_isr;
-  auto result = [&]() -> Result<ProduceResponse> {
+  const Status result = [&]() -> Status {
     ReaderMutexLock map_lock(&map_mu_);
     LIQUID_ASSIGN_OR_RETURN(Replica * replica, FindReplicaShared(tp));
     MutexLock lock(&replica->mu);
     if (!replica->is_leader || replica->leader_epoch != epoch) {
       return Status::NotLeader("leadership lost during replication");
     }
-    for (int member : push_targets) {
-      if (!Contains(failed, member)) replica->follower_leo[member] = leo;
+    for (int member : followers) {
+      if (Contains(failed, member)) continue;
+      int64_t& known = replica->follower_leo[member];
+      known = std::max(known, end_offset);
     }
     bool shrank = false;
     for (int member : failed) {
@@ -747,15 +760,7 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
       return Status::Unavailable("ISR shrank below min.insync.replicas");
     }
     AdvanceHighWatermarkLocked(tp, replica);
-    // Chaos surface: appended AND replicated, but the acknowledgment is
-    // lost — the strongest duplicate-generation point for idempotence tests.
-    LIQUID_FAULT_POINT("broker.produce.before_ack");
-    observe_append(records);
-    ProduceResponse resp;
-    resp.base_offset = base;
-    resp.log_end_offset = leo;
-    resp.throttle_ms = throttle_ms;
-    return resp;
+    return Status::OK();
   }();
   // ISR changes reach the coordination service only after every broker lock
   // is released: the coord write fires watches that re-enter brokers on this
@@ -792,7 +797,7 @@ Status Broker::AppendEncodedAsFollower(const TopicPartition& tp,
       const int64_t t0 = clock_->NowUs();
       LIQUID_RETURN_NOT_OK(replica->log->AppendEncoded(fresh));
       for (const auto& frame : fresh.frames()) {
-        NoteEpochLocked(tp, replica, frame.leader_epoch, frame.offset);
+        NoteEpochLocked(replica, frame.leader_epoch, frame.offset);
       }
       replicated_records_->Increment(
           static_cast<int64_t>(fresh.record_count()));
@@ -875,27 +880,21 @@ Status Broker::WriteTxnMarker(const TopicPartition& tp, int64_t pid,
     epoch = replica->leader_epoch;
     hw = replica->high_watermark;
   }
-  // Synchronously replicate the marker to the ISR so the LSO advance is
-  // durable like any acks=all write — without holding any lock: a follower of
-  // this partition may simultaneously lead another partition and push to us,
-  // and broker locks must never be held across broker-to-broker calls.
-  std::vector<int> reached;
+  // Synchronously replicate the marker to the ISR and await its durability,
+  // like any acks=all write — without holding any lock: a follower of this
+  // partition may simultaneously lead another partition and push to us, and
+  // broker locks must never be held across broker-to-broker calls.
+  std::vector<int> failed;
+  failed.reserve(targets.size());
   for (int member : targets) {
     Broker* follower = cluster_->broker(member);
-    if (follower != nullptr &&
-        follower->AppendEncodedAsFollower(tp, marker, epoch, hw).ok()) {
-      reached.push_back(member);
+    if (follower == nullptr ||
+        !follower->AppendEncodedAsFollower(tp, marker, epoch, hw).ok()) {
+      failed.push_back(member);
     }
   }
-  ReaderMutexLock map_lock(&map_mu_);
-  LIQUID_ASSIGN_OR_RETURN(Replica * replica, FindReplicaShared(tp));
-  MutexLock lock(&replica->mu);
-  if (!replica->is_leader || replica->leader_epoch != epoch) {
-    return Status::NotLeader("leadership lost during marker replication");
-  }
-  for (int member : reached) replica->follower_leo[member] = leo;
-  AdvanceHighWatermarkLocked(tp, replica);
-  return Status::OK();
+  return AwaitIsrDurable(tp, epoch, leo, /*pushed=*/true, targets,
+                         std::move(failed));
 }
 
 Result<int64_t> Broker::LastStableOffset(const TopicPartition& tp) {
@@ -1075,7 +1074,7 @@ Status Broker::ReplicateFromLeaders() {
       Status st = replica->log->AppendEncoded(resp->batch);
       if (!st.ok()) continue;
       for (const auto& frame : resp->batch.frames()) {
-        NoteEpochLocked(task.tp, replica, frame.leader_epoch, frame.offset);
+        NoteEpochLocked(replica, frame.leader_epoch, frame.offset);
       }
       replicated_records_->Increment(
           static_cast<int64_t>(resp->batch.record_count()));

@@ -156,6 +156,12 @@ class Broker {
                                  const storage::EncodedBatch& batch,
                                  int leader_epoch, int64_t leader_hw);
 
+  /// Blocks until this broker's copy of `tp` is durable below `end_offset`
+  /// (Log::AwaitDurable; returns at once under sync_mode=none, where acks
+  /// promise replication, not disk). A leader calls it on itself and on each
+  /// follower it counts toward an acks=all acknowledgment.
+  Status AwaitReplicaDurable(const TopicPartition& tp, int64_t end_offset);
+
   /// Pull path: every follower partition fetches once from its leader
   /// (catch-up for acks<all and for restarted brokers).
   Status ReplicateFromLeaders();
@@ -213,7 +219,7 @@ class Broker {
     std::map<int64_t, int64_t> ongoing_txns GUARDED_BY(mu);
     std::vector<AbortedRange> aborted_ranges GUARDED_BY(mu);
     // Leader-epoch cache (KIP-101): (epoch, start offset of that epoch),
-    // ascending; persisted to "<tp>.epochs".
+    // ascending; rebuilt from the log's records when the log opens.
     std::vector<std::pair<int, int64_t>> epoch_cache GUARDED_BY(mu);
     // Cached handle for "liquid.broker.<id>.partition.<tp>.append_records"
     // in the process-wide registry, resolved once when the log opens.
@@ -249,6 +255,27 @@ class Broker {
   /// with NO broker lock held: the coord write fires watches that re-enter
   /// brokers on this thread (controller election, leadership changes).
   void PublishIsr(const TopicPartition& tp, const std::vector<int>& isr);
+  /// The one acks=all durability wait (DESIGN.md §6c), shared by fresh
+  /// produces, duplicate resends and transaction markers. Waits until
+  /// offsets below `end_offset` are durable on this leader; then, if the
+  /// batch was just `pushed` to `followers` (a duplicate pushes nothing),
+  /// lets the followers it reached (all but the failed pushes in `failed`)
+  /// count toward the high watermark; then waits until the batch is durable
+  /// on each of them. No broker lock is held across a wait or a follower
+  /// call. A follower whose push or sync failed leaves the ISR. Returns the
+  /// leader's own sync error, NotLeader, or Unavailable when the ISR fell
+  /// below min.insync.replicas.
+  Status AwaitIsrDurable(const TopicPartition& tp, int epoch,
+                         int64_t end_offset, bool pushed,
+                         const std::vector<int>& followers,
+                         std::vector<int> failed);
+  /// If leadership `epoch` still holds: counts `end_offset` toward the high
+  /// watermark for every follower in `followers` but not in `failed`, drops
+  /// the `failed` ones from the ISR (publishing it after unlocking), and
+  /// fails with Unavailable when the ISR is below min.insync.replicas.
+  Status SettleIsr(const TopicPartition& tp, int epoch, int64_t end_offset,
+                   const std::vector<int>& followers,
+                   const std::vector<int>& failed);
   /// Rebuilds the idempotent-producer dedup map (producer_last_seq) by
   /// scanning the log. Called when a replica becomes leader with no dedup
   /// state — a restarted broker or a promoted follower — so that mid-stream
@@ -260,16 +287,15 @@ class Broker {
       REQUIRES(replica->mu);
   void StoreHighWatermarkLocked(const TopicPartition& tp, Replica* replica)
       REQUIRES(replica->mu);
-  Status LoadEpochCacheLocked(const TopicPartition& tp, Replica* replica)
-      REQUIRES(replica->mu);
-  void StoreEpochCacheLocked(const TopicPartition& tp, Replica* replica)
-      REQUIRES(replica->mu);
+  /// Rebuilds the epoch cache from the leader epochs stamped on the log's
+  /// records (called when the log opens).
+  Status LoadEpochCacheLocked(Replica* replica) REQUIRES(replica->mu);
   /// Records that `epoch` starts at `start_offset` (no-op if already known).
-  void NoteEpochLocked(const TopicPartition& tp, Replica* replica, int epoch,
-                       int64_t start_offset) REQUIRES(replica->mu);
+  void NoteEpochLocked(Replica* replica, int epoch, int64_t start_offset)
+      REQUIRES(replica->mu);
   /// Drops cache entries at/after `offset` after a truncation.
-  void TrimEpochCacheLocked(const TopicPartition& tp, Replica* replica,
-                            int64_t offset) REQUIRES(replica->mu);
+  void TrimEpochCacheLocked(Replica* replica, int64_t offset)
+      REQUIRES(replica->mu);
   /// The epoch of the last record in the local log (-1 if empty).
   static int LastLocalEpochLocked(const Replica& replica) REQUIRES(replica.mu);
 

@@ -41,6 +41,8 @@ Log::Log(Disk* disk, PageCache* cache, std::string name_prefix, LogConfig config
   fetch_copied_bytes_ = global->GetCounter(prefix + "fetch_copied_bytes");
   group_commit_batches_ = global->GetCounter(prefix + "group_commit_batches");
   group_commit_syncs_ = global->GetCounter(prefix + "group_commit_syncs");
+  group_commit_sync_failures_ =
+      global->GetCounter(prefix + "group_commit_sync_failures");
   producer_append_mu_acquisitions_ =
       global->GetCounter(prefix + "producer_append_mu_acquisitions");
 }
@@ -152,15 +154,14 @@ void Log::DrainAppendsLocked() {
 }
 
 Status Log::SyncDirtySegments() const {
-  // Chaos surface (DESIGN.md §7): a failing or stalling fsync. Group-commit
-  // windows fold the injected error into sync_failed_upto_; every-batch
-  // callers see it inline — both must keep the ack contract honest.
+  // Chaos surface (DESIGN.md §7): a failing or stalling fsync. The committer
+  // folds the injected error into sync_failed_upto_, which fails the acks
+  // waiting on that window.
   LIQUID_FAULT_POINT("log.sync.before");
   ReaderMutexLock lock(&mu_);
   for (const auto& segment : segments_) {
     if (!segment->dirty()) continue;
     // liquid-lint: allow(snapshot-then-call): fsync deliberately runs under the shared log lock: it must exclude truncation/compaction (which drop segments) but not readers; appenders queue behind at most one sync window at the exclusive-lock gate (DESIGN.md section 6c).
-    // liquid-lint: allow(hot-block): reachable from AppendBatch only under sync_mode=every_batch, whose contract IS one blocking fsync per batch (the durability baseline; DESIGN.md section 6c).
     LIQUID_RETURN_NOT_OK(segment->Flush());
   }
   return Status::OK();
@@ -169,16 +170,19 @@ Status Log::SyncDirtySegments() const {
 void Log::CommitterLoop() {
   while (true) {
     int64_t target = 0;
+    int64_t truncations = 0;
     bool stopping = false;
     {
       MutexLock lock(&append_mu_);
       committer_cv_.Wait([this]() REQUIRES(append_mu_) {
-        // A failed window is not retried until new batches commit past it
-        // (retrying an fsync that just failed in a tight loop helps nobody);
-        // its waiters were already failed via sync_failed_upto_.
+        // A failed window is retried only when new batches commit past it or
+        // an AwaitDurable call asks for one attempt (retrying an fsync that
+        // just failed in a tight loop helps nobody); its waiters were
+        // already failed via sync_failed_upto_.
         return committer_stop_ ||
                (committed_offset_ > durable_offset_ &&
-                committed_offset_ > sync_failed_upto_);
+                (committed_offset_ > sync_failed_upto_ ||
+                 sync_retry_requested_));
       });
       stopping = committer_stop_;
       if (committed_offset_ <= durable_offset_) {
@@ -186,12 +190,21 @@ void Log::CommitterLoop() {
         continue;  // Woken after a failed window with nothing new to sync.
       }
       target = committed_offset_;
+      truncations = truncations_;
     }
     // One fsync covers every batch committed during the previous window
     // (snapshot-then-call: no append_mu_ held across the sync).
     const Status st = SyncDirtySegments();
     {
       MutexLock lock(&append_mu_);
+      if (truncations != truncations_) {
+        // A truncation replaced bytes inside [durable, target) mid-window:
+        // this outcome proves nothing about them. Sync again.
+        if (stopping) return;
+        continue;
+      }
+      ++sync_attempts_;
+      sync_retry_requested_ = false;
       if (st.ok()) {
         if (durable_offset_ < target) durable_offset_ = target;
         if (sync_failed_upto_ <= target) {
@@ -202,6 +215,7 @@ void Log::CommitterLoop() {
       } else {
         if (sync_failed_upto_ < target) sync_failed_upto_ = target;
         last_sync_error_ = st;
+        group_commit_sync_failures_->Increment();
       }
       durable_cv_.SignalAll();
       if (stopping) return;
@@ -211,16 +225,29 @@ void Log::CommitterLoop() {
 
 Status Log::AwaitDurable(int64_t end_offset) {
   MutexLock lock(&append_mu_);
+  const int64_t attempts_seen = sync_attempts_;
+  if (durable_offset_ < end_offset && sync_failed_upto_ >= end_offset) {
+    // The covering window failed before this call: ask for one fresh
+    // attempt instead of replaying the stale error, so a resend of the same
+    // batch can succeed once the fault clears.
+    sync_retry_requested_ = true;
+    committer_cv_.Signal();
+  }
   // liquid-lint: allow(hot-block): the durability wait IS the product semantic of acks=all under sync_mode=group — the caller asked to block until its offsets are fsynced, bounded by one committer sync window (DESIGN.md section 6c).
-  durable_cv_.Wait([this, end_offset]() REQUIRES(append_mu_) {
-    return durable_offset_ >= end_offset || sync_failed_upto_ >= end_offset ||
+  durable_cv_.Wait([this, end_offset, attempts_seen]() REQUIRES(append_mu_) {
+    return durable_offset_ >= end_offset || committed_offset_ < end_offset ||
+           (sync_attempts_ != attempts_seen &&
+            sync_failed_upto_ >= end_offset) ||
            committer_stop_;
   });
   if (durable_offset_ >= end_offset) return Status::OK();
-  if (sync_failed_upto_ >= end_offset && !last_sync_error_.ok()) {
-    return last_sync_error_;
+  if (committed_offset_ < end_offset) {
+    return Status::OutOfRange("offsets past the log end cannot become durable");
   }
-  return Status::Aborted("log closing before the batch became durable");
+  if (committer_stop_) {
+    return Status::Aborted("log closing before the batch became durable");
+  }
+  return last_sync_error_;
 }
 
 int64_t Log::durable_offset() const {
@@ -274,11 +301,12 @@ Result<EncodedBatch> Log::AppendBatch(std::vector<Record>* records) {
   // Phase 5: commit and wake successors. Committed advances even on a write
   // error — otherwise every queued appender behind us would deadlock; the
   // failed range simply becomes an offset gap (gaps are legal in this log).
-  const int64_t end = base + static_cast<int64_t>(records->size());
+  // Durability is the committer's job: callers that need a durable
+  // acknowledgment wait in AwaitDurable for its next window.
   {
     MutexLock lock(&append_mu_);
     producer_append_mu_acquisitions_->Increment();
-    committed_offset_ = end;
+    committed_offset_ = base + static_cast<int64_t>(records->size());
     append_cv_.SignalAll();
     if (config_.sync_mode == SyncMode::kGroup && write_status.ok()) {
       group_commit_batches_->Increment();
@@ -286,17 +314,6 @@ Result<EncodedBatch> Log::AppendBatch(std::vector<Record>* records) {
     }
   }
   LIQUID_RETURN_NOT_OK(write_status);
-
-  // Phase 6 (durability): every_batch pays one inline fsync per call — the
-  // baseline group commit is measured against. Group mode returns at once;
-  // callers that need a durable acknowledgment wait in AwaitDurable for the
-  // shared committer's next window.
-  if (config_.sync_mode == SyncMode::kEveryBatch) {
-    LIQUID_RETURN_NOT_OK(SyncDirtySegments());
-    MutexLock lock(&append_mu_);
-    if (durable_offset_ < end) durable_offset_ = end;
-    durable_cv_.SignalAll();
-  }
   return batch;
 }
 
@@ -315,20 +332,11 @@ Status Log::AppendEncoded(const EncodedBatch& batch) {
   }
   reserved_offset_ = end;
   committed_offset_ = end;
-  if (config_.sync_mode == SyncMode::kEveryBatch) {
-    // Follower durability mirrors the leader's ack contract: the replica
-    // fetch that lands these bytes advances the follower's LEO, which the
-    // leader counts toward an acks=all acknowledgment — so under every-batch
-    // sync they must hit stable storage here, or a power-cycle of the full
-    // ISR loses acked records when a once-follower wins the next election.
-    LIQUID_RETURN_NOT_OK(SyncDirtySegments());
-    if (durable_offset_ < end) durable_offset_ = end;
-    durable_cv_.SignalAll();
-  }
   if (config_.sync_mode == SyncMode::kGroup) {
     // Follower batches count toward the coalescing factor like producer
     // batches: the committer counts every follower fsync in
-    // group_commit_syncs.
+    // group_commit_syncs. The leader counts this copy toward acks=all only
+    // after awaiting its durability (Broker::AwaitIsrDurable).
     group_commit_batches_->Increment();
     committer_cv_.Signal();
   }
@@ -453,6 +461,20 @@ Status Log::Truncate(int64_t offset) {
     committed_offset_ = next_offset_;
   };
   if (offset >= next_offset_) return Status::OK();
+  // The survivors of a partially truncated segment are rewritten unsynced, so
+  // durability now ends at that segment's base (or at `offset`); waiters past
+  // the new end wake and fail, and the committer syncs the rewrite.
+  int64_t rewritten_from = offset;
+  for (const auto& segment : segments_) {
+    if (segment->base_offset() < offset && segment->next_offset() > offset) {
+      rewritten_from = segment->base_offset();
+    }
+  }
+  ++truncations_;
+  durable_offset_ = std::min(durable_offset_, rewritten_from);
+  sync_failed_upto_ = std::min(sync_failed_upto_, rewritten_from);
+  durable_cv_.SignalAll();
+  committer_cv_.Signal();
   if (offset <= start_offset_) {
     // Everything goes: drop all segments and restart at `offset`.
     for (auto& segment : segments_) LIQUID_RETURN_NOT_OK(segment->Drop());

@@ -26,13 +26,10 @@ enum class SyncMode {
   /// OS decide). Fastest, and the pre-sync_mode behaviour — a crash loses
   /// the unflushed tail. This is Kafka's production default.
   kNone,
-  /// fsync inline on every append call — the durability baseline the group
-  /// mode is measured against (Kafka's flush.messages=1).
-  kEveryBatch,
   /// Group commit: a per-log committer thread issues one fsync covering all
-  /// batches committed during the previous sync window; appenders that
-  /// request durability block until their offsets are covered instead of
-  /// paying one fsync per batch.
+  /// batches committed during the previous sync window; callers that need
+  /// durability block in AwaitDurable until their offsets are covered
+  /// instead of paying one fsync per batch. No append path ever fsyncs.
   kGroup,
 };
 
@@ -101,29 +98,35 @@ class Log {
   /// and returns the records' one-time wire encoding as a shared immutable
   /// buffer (the encode-once hot path: the caller forwards the same bytes to
   /// followers and replica fetches without re-encoding). This is the log's
-  /// one producer append; under SyncMode::kGroup it does not wait for the
-  /// fsync — callers that need a durable acknowledgment call AwaitDurable.
+  /// one producer append. It never fsyncs — callers that need a durable
+  /// acknowledgment call AwaitDurable.
   LIQUID_HOT_PATH
   Result<EncodedBatch> AppendBatch(std::vector<Record>* records);
 
-  /// All offsets below this have been fsynced (only advanced by kEveryBatch
-  /// and kGroup modes; stays 0 under kNone).
+  /// All offsets below this have been fsynced. Only the kGroup committer
+  /// advances it (it stays 0 under kNone); a truncation that rewrites the
+  /// tail lowers it to the first rewritten offset.
   int64_t durable_offset() const;
 
-  /// Blocks until offsets below `end_offset` are durable or the covering
-  /// group sync failed; returns that sync's error in the latter case (the
-  /// batch is then unacknowledged, not absent). Decoupled from AppendBatch
-  /// so callers like Broker::Produce can release their own per-partition
-  /// lock first — the whole point of group commit is that other producers
-  /// keep filling the sync window while this caller waits. Only meaningful
-  /// under SyncMode::kGroup (kNone never advances durability: the call
-  /// would block until the log closes).
+  /// Blocks until offsets below `end_offset` are durable or a sync attempt
+  /// covering them failed; returns that sync's error in the latter case (the
+  /// batch is then unacknowledged, not absent). If the covering window had
+  /// already failed before the call, the call asks the committer for one
+  /// fresh attempt and reports its outcome, so a resend recovers once the
+  /// fault clears; each call causes at most one attempt. Fails at once when
+  /// the log does not reach `end_offset` (e.g. truncated meanwhile).
+  /// Decoupled from AppendBatch so callers like Broker::Produce can release
+  /// their own per-partition lock first — the whole point of group commit is
+  /// that other producers keep filling the sync window while this caller
+  /// waits. Only meaningful under SyncMode::kGroup (kNone has no committer:
+  /// the call would block until the log closes).
   Status AwaitDurable(int64_t end_offset) EXCLUDES(append_mu_);
 
   /// Appends a pre-encoded batch carrying offsets (encode-once replication
   /// path: the leader's bytes land on the follower's disk verbatim, preserving
-  /// offsets and gaps). Under SyncMode::kEveryBatch the bytes are fsynced
-  /// before returning, mirroring the leader's ack contract.
+  /// offsets and gaps). Never fsyncs: under kGroup it wakes the committer,
+  /// and a leader that counts this copy toward an ack waits for it in
+  /// AwaitDurable.
   Status AppendEncoded(const EncodedBatch& batch);
 
   /// Reads the encoded frames of records with offset >= `offset`, gathering
@@ -185,6 +188,7 @@ class Log {
 
   /// Flushes every dirty segment under the shared log lock. Appends are
   /// excluded (they commit under the exclusive lock) but reads proceed.
+  /// Called only by the committer.
   Status SyncDirtySegments() const EXCLUDES(mu_);
 
   /// Group-commit committer: waits for committed-but-not-durable batches,
@@ -218,14 +222,22 @@ class Log {
   /// All appends below this offset have committed (in reservation order).
   int64_t committed_offset_ GUARDED_BY(append_mu_) = 0;
 
-  /// Group-commit state (meaningful for kEveryBatch/kGroup). All offsets
-  /// below durable_offset_ are fsynced.
+  /// Group-commit state (meaningful for kGroup). All offsets below
+  /// durable_offset_ are fsynced.
   int64_t durable_offset_ GUARDED_BY(append_mu_) = 0;
   /// A failed group sync attempt covered offsets below sync_failed_upto_;
   /// last_sync_error_ holds why. Waiters in that range fail their ack; the
-  /// committer retries once new batches commit past the failed window.
+  /// committer retries once new batches commit past the failed window, or
+  /// once an AwaitDurable call asks for a retry (sync_retry_requested_).
   int64_t sync_failed_upto_ GUARDED_BY(append_mu_) = 0;
   Status last_sync_error_ GUARDED_BY(append_mu_);
+  bool sync_retry_requested_ GUARDED_BY(append_mu_) = false;
+  /// Completed sync attempts, so a waiter can tell a fresh outcome from the
+  /// one it found on arrival.
+  int64_t sync_attempts_ GUARDED_BY(append_mu_) = 0;
+  /// Bumped by Truncate; a sync window that straddles one is discarded, as
+  /// the bytes it covered may have been replaced.
+  int64_t truncations_ GUARDED_BY(append_mu_) = 0;
   bool committer_stop_ GUARDED_BY(append_mu_) = false;
   /// Wakes the committer when committed_offset_ advances (kGroup).
   CondVar committer_cv_{&append_mu_};
@@ -242,6 +254,7 @@ class Log {
   Counter* fetch_copied_bytes_;
   Counter* group_commit_batches_;
   Counter* group_commit_syncs_;
+  Counter* group_commit_sync_failures_;
   Counter* producer_append_mu_acquisitions_;
 };
 

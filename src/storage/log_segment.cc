@@ -167,16 +167,10 @@ Status LogSegment::AppendEncoded(const EncodedBatch& batch) {
 Status LogSegment::Flush() {
   const uint64_t target = end_pos_;
   LIQUID_RETURN_NOT_OK(file_->Sync());
-  // Advance the watermark monotonically: concurrent every-batch flushes can
-  // complete out of order, and a lower racing target must not re-dirty the
-  // segment.
-  uint64_t prev = synced_pos_.load(std::memory_order_relaxed);
-  while (prev < target &&
-         // order: release pairs with dirty()'s acquire (see the header).
-         !synced_pos_.compare_exchange_weak(prev, target,
-                                            std::memory_order_release,
-                                            std::memory_order_relaxed)) {
-  }
+  // One flusher (the log's committer) and a segment that only grows: the
+  // watermark is monotonic without a CAS.
+  // order: release pairs with dirty()'s acquire (see the header).
+  synced_pos_.store(target, std::memory_order_release);
   return Status::OK();
 }
 

@@ -82,9 +82,8 @@ class LogSegment {
   const std::string& file_name() const { return file_name_; }
 
   /// fsyncs appended bytes and advances the durable watermark dirty() keys
-  /// off. Safe under the owning Log's shared lock: appends (which grow the
-  /// segment) hold the exclusive lock, and concurrent flushes race only on
-  /// the monotonic watermark.
+  /// off. Called only by the owning Log's committer, under the Log's shared
+  /// lock: appends (which grow the segment) hold the exclusive lock.
   Status Flush();
 
   /// True when bytes appended after the last successful Flush() exist; the
@@ -138,8 +137,8 @@ class LogSegment {
   int64_t base_offset_;
   Config config_;
   /// Bytes [0, synced_pos_) were covered by a successful Flush(). Atomic
-  /// because concurrent every-batch appenders flush under the shared log
-  /// lock; 0 after open (recovery does not know what the last process
+  /// because the committer flushes under the shared log lock, beside
+  /// readers; 0 after open (recovery does not know what the last process
   /// synced, so the first flush conservatively covers the whole file).
   std::atomic<uint64_t> synced_pos_{0};
 

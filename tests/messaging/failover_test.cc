@@ -239,11 +239,12 @@ TEST_F(FailoverTest, EpochFencingPreventsZombieLeader) {
 }
 
 TEST_F(FailoverTest, AckedPrefixSurvivesRestartUnderFsyncFault) {
-  // Durable topic: every batch is fsynced before the ack (DESIGN.md §6).
+  // Durable topic: every acks=all batch is fsynced on each replica it counts
+  // before the ack (DESIGN.md §6c).
   TopicConfig config;
   config.partitions = 1;
   config.replication_factor = 3;
-  config.log.sync_mode = storage::SyncMode::kEveryBatch;
+  config.log.sync_mode = storage::SyncMode::kGroup;
   ASSERT_TRUE(cluster_->CreateTopic("t", config).ok());
   const TopicPartition tp{"t", 0};
   ASSERT_EQ(Produce(tp, 10, AckMode::kAll), 10);
@@ -272,6 +273,58 @@ TEST_F(FailoverTest, AckedPrefixSurvivesRestartUnderFsyncFault) {
   // Exactly the acked prefix survives: the ten acknowledged records were
   // fsynced before their acks; the five refused ones never became durable.
   EXPECT_EQ(CommittedRecords(tp), 10);
+}
+
+TEST_F(FailoverTest, AckedRecordsSurviveWholeIsrPowerCycleWhenFollowerSyncsFail) {
+  // A follower counts toward acks=all only once its copy is durable. Here
+  // both followers accept every push but can never fsync: they must leave
+  // the ISR instead of being counted, so that after every replica loses its
+  // unsynced bytes — followers restarting first, eager to win the election —
+  // the acked records are still there.
+  TopicConfig config;
+  config.partitions = 1;
+  config.replication_factor = 3;
+  config.log.sync_mode = storage::SyncMode::kGroup;
+  ASSERT_TRUE(cluster_->CreateTopic("t", config).ok());
+  const TopicPartition tp{"t", 0};
+  auto state = cluster_->GetPartitionState(tp);
+  LIQUID_ASSERT_OK(state.status());
+  const int leader = state->leader;
+  std::vector<int> followers;
+  for (int replica : state->replicas) {
+    if (replica == leader) continue;
+    followers.push_back(replica);
+    cluster_->disk(replica)->SetSyncFaultHook(
+        [](const std::string&) { return Status::IOError("injected"); });
+  }
+  ASSERT_EQ(followers.size(), 2u);
+  Counter* sync_failures = MetricsRegistry::Default()->GetCounter(
+      "liquid.log.t-0.group_commit_sync_failures");
+  const int64_t sync_failures_before = sync_failures->value();
+
+  // min.insync.replicas=1: the leader alone may keep acknowledging.
+  const int acked = Produce(tp, 10, AckMode::kAll);
+  ASSERT_EQ(acked, 10);
+  // A failing follower sync is visible, and the failing followers left the
+  // ISR.
+  EXPECT_GT(sync_failures->value(), sync_failures_before);
+  state = cluster_->GetPartitionState(tp);
+  LIQUID_ASSERT_OK(state.status());
+  EXPECT_EQ(state->isr, std::vector<int>{leader});
+
+  // Power-cycle every replica; the followers come back first.
+  for (int replica : state->replicas) {
+    LIQUID_ASSERT_OK(cluster_->StopBroker(replica));
+    cluster_->disk(replica)->SimulateCrash();
+  }
+  for (int follower : followers) {
+    LIQUID_ASSERT_OK(cluster_->RestartBroker(follower));
+  }
+  LIQUID_ASSERT_OK(cluster_->RestartBroker(leader));
+  cluster_->ReplicationTick();
+  cluster_->ReplicationTick();
+
+  EXPECT_EQ(CommittedRecords(tp), acked);
 }
 
 TEST_F(FailoverTest, ConsumersResumeFromCommittedOffsetsAfterRestart) {

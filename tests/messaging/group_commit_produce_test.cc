@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -122,6 +123,55 @@ TEST_F(GroupCommitProduceTest, FailedAppendRollsBackTheSequence) {
   auto resp = Produce(AckMode::kAll, "v1", pid, 1);
   LIQUID_ASSERT_OK(resp.status());
   EXPECT_EQ(resp->base_offset, 1);
+  EXPECT_EQ(CountFetchable(), 2);
+}
+
+TEST_F(GroupCommitProduceTest, TxnMarkerIsReportedWrittenOnlyOnceDurable) {
+  // A commit marker decides what read_committed consumers see, so it is an
+  // acks=all write: while fsync fails it cannot be reported written unless
+  // it survives the crash anyway.
+  auto broker = cluster_->LeaderFor(tp_);
+  LIQUID_ASSERT_OK(broker.status());
+  const int64_t pid = 11;
+  LIQUID_ASSERT_OK((*broker)->BeginPartitionTxn(tp_, pid));
+  LIQUID_ASSERT_OK(Produce(AckMode::kAll, "txn-data", pid, 0).status());
+  cluster_->disk(0)->SetSyncFaultHook(
+      [](const std::string&) { return Status::IOError("injected"); });
+  const Status marker = (*broker)->WriteTxnMarker(tp_, pid, /*committed=*/true);
+
+  cluster_->disk(0)->SimulateCrash();
+  cluster_->disk(0)->SetSyncFaultHook(nullptr);
+  ASSERT_TRUE(cluster_->StopBroker(0).ok());
+  ASSERT_TRUE(cluster_->RestartBroker(0).ok());
+  auto end = cluster_->broker(0)->LogEndOffset(tp_);
+  LIQUID_ASSERT_OK(end.status());
+  EXPECT_TRUE(!marker.ok() || *end == 2)
+      << "marker reported written but lost: log end " << *end;
+}
+
+TEST_F(GroupCommitProduceTest, ResendOfABatchWhoseSyncFailedIsAckedOnlyOnceDurable) {
+  // The batch lands but its sync fails, so it is not acknowledged. The
+  // producer's resend is a duplicate (same sequence) and must not be acked
+  // on the strength of the dedup check alone: it waits for durability like
+  // the original, and succeeds once the fault clears.
+  const int64_t pid = 9;
+  LIQUID_ASSERT_OK(Produce(AckMode::kAll, "v0", pid, 0).status());
+  std::atomic<bool> fail{true};
+  cluster_->disk(0)->SetSyncFaultHook([&fail](const std::string&) {
+    return fail.load() ? Status::IOError("injected") : Status::OK();
+  });
+  EXPECT_FALSE(Produce(AckMode::kAll, "v1", pid, 1).ok());
+  EXPECT_FALSE(Produce(AckMode::kAll, "v1", pid, 1).ok());
+
+  fail.store(false);
+  auto resend = Produce(AckMode::kAll, "v1", pid, 1);
+  LIQUID_ASSERT_OK(resend.status());
+  EXPECT_EQ(resend->base_offset, -1);  // Deduplicated, not appended again.
+
+  cluster_->disk(0)->SimulateCrash();
+  cluster_->disk(0)->SetSyncFaultHook(nullptr);
+  ASSERT_TRUE(cluster_->StopBroker(0).ok());
+  ASSERT_TRUE(cluster_->RestartBroker(0).ok());
   EXPECT_EQ(CountFetchable(), 2);
 }
 

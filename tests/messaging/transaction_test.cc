@@ -227,14 +227,14 @@ TEST_F(TransactionTest, ControlMarkersNeverDelivered) {
   }
 }
 
-TEST_F(TransactionTest, FollowerCopyOfMarkerIsDurableUnderEveryBatchSync) {
+TEST_F(TransactionTest, FollowerCopyOfMarkerIsDurableUnderGroupSync) {
   // The leader counts a follower's copy of a transaction marker toward the
-  // marker's replication, so under sync_mode=every_batch that copy must be
-  // fsynced before the push returns — like any other replicated batch.
+  // marker's replication, so under sync_mode=group the marker write awaits
+  // that copy's fsync — like any other acks=all batch.
   TopicConfig topic;
   topic.partitions = 1;
   topic.replication_factor = 2;
-  topic.log.sync_mode = storage::SyncMode::kEveryBatch;
+  topic.log.sync_mode = storage::SyncMode::kGroup;
   ASSERT_TRUE(cluster_->CreateTopic("durable", topic).ok());
   const TopicPartition tp{"durable", 0};
 

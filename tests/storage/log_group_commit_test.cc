@@ -68,15 +68,6 @@ TEST_F(LogGroupCommitTest, NoneNeverAdvancesDurableOffset) {
   EXPECT_EQ(disk_.sync_ops(), 0);
 }
 
-TEST_F(LogGroupCommitTest, EveryBatchSyncsInline) {
-  auto log = OpenLog(SyncMode::kEveryBatch);
-  for (int i = 0; i < 3; ++i) {
-    LIQUID_ASSERT_OK(Append(log.get(), 5, /*await=*/false));
-    EXPECT_EQ(log->durable_offset(), log->end_offset());
-  }
-  EXPECT_GE(disk_.sync_ops(), 3);
-}
-
 TEST_F(LogGroupCommitTest, AwaitedGroupAppendBecomesDurable) {
   auto log = OpenLog(SyncMode::kGroup);
   LIQUID_ASSERT_OK(Append(log.get(), 5, /*await=*/true));
@@ -147,17 +138,60 @@ TEST_F(LogGroupCommitTest, FailedSyncFailsAckAndLaterAppendsRecover) {
   EXPECT_EQ(log->durable_offset(), 15);
 }
 
-TEST_F(LogGroupCommitTest, EveryBatchSurvivesCrashCompletely) {
+TEST_F(LogGroupCommitTest, AwaitOnAFailedWindowAsksForOneFreshAttempt) {
+  // A resend of a batch whose sync failed appends nothing new, so the
+  // committer would never retry its window on its own. Each AwaitDurable
+  // over an already-failed window asks for exactly one fresh attempt: the
+  // error is real while the fault lasts, and the wait succeeds once it
+  // clears — with no tight retry loop in between.
+  auto log = OpenLog(SyncMode::kGroup);
+  std::atomic<bool> fail{true};
+  std::atomic<int> attempts{0};
+  disk_.SetSyncFaultHook([&](const std::string&) {
+    attempts.fetch_add(1);
+    return fail.load() ? Status::IOError("injected") : Status::OK();
+  });
+  Counter* failures = MetricsRegistry::Default()->GetCounter(
+      "liquid.log.g0.group_commit_sync_failures");
+  const int64_t failures_before = failures->value();
+  EXPECT_FALSE(Append(log.get(), 5, /*await=*/true).ok());
+  const int after_first = attempts.load();
+  EXPECT_GE(after_first, 1);
+
+  EXPECT_FALSE(log->AwaitDurable(5).ok());
+  EXPECT_FALSE(log->AwaitDurable(5).ok());
+  EXPECT_EQ(attempts.load(), after_first + 2);
+  EXPECT_EQ(failures->value() - failures_before, after_first + 2);
+
+  fail.store(false);
+  LIQUID_ASSERT_OK(log->AwaitDurable(5));
+  EXPECT_EQ(log->durable_offset(), 5);
+  EXPECT_EQ(failures->value() - failures_before, after_first + 2);
+}
+
+TEST_F(LogGroupCommitTest, TruncateLowersDurabilityToTheRewrittenSegment) {
+  // A partial truncation rewrites the surviving frames unsynced, so they are
+  // not durable again until the committer's next window; waits past the new
+  // end fail at once instead of trusting the old watermark.
   {
-    auto log = OpenLog(SyncMode::kEveryBatch);
-    for (int i = 0; i < 3; ++i) {
-      LIQUID_ASSERT_OK(Append(log.get(), 5, /*await=*/false));
-    }
+    auto log = OpenLog(SyncMode::kGroup);
+    LIQUID_ASSERT_OK(Append(log.get(), 10, /*await=*/true));
+    ASSERT_EQ(log->durable_offset(), 10);
+    // Failing syncs keep the committer from re-syncing the rewrite before
+    // the watermark is checked.
+    disk_.SetSyncFaultHook(
+        [](const std::string&) { return Status::IOError("injected"); });
+    LIQUID_ASSERT_OK(log->Truncate(4));
+    EXPECT_EQ(log->durable_offset(), 0);
+    EXPECT_TRUE(log->AwaitDurable(10).IsOutOfRange());
+    disk_.SetSyncFaultHook(nullptr);
+    LIQUID_ASSERT_OK(Append(log.get(), 3, /*await=*/true));
+    EXPECT_EQ(log->durable_offset(), 7);
     disk_.SimulateCrash();
   }
-  auto log = OpenLog(SyncMode::kEveryBatch);
-  EXPECT_EQ(log->end_offset(), 15);
-  EXPECT_EQ(CountRecords(log.get()), 15);
+  auto log = OpenLog(SyncMode::kGroup);
+  EXPECT_EQ(log->end_offset(), 7);
+  EXPECT_EQ(CountRecords(log.get()), 7);
 }
 
 TEST_F(LogGroupCommitTest, FollowerAppendsCountAsGroupCommitBatches) {
