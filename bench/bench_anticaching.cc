@@ -11,6 +11,7 @@
 
 #include <memory>
 
+#include "bench_util.h"
 #include "common/clock.h"
 #include "common/random.h"
 #include "storage/disk.h"
@@ -62,7 +63,8 @@ void BM_TailRead(benchmark::State& state) {
   std::vector<Record> out;
   for (auto _ : state) {
     out.clear();
-    LIQUID_CHECK_OK(rig->log->Read(rig->log->end_offset() - 100, 64 * 1024, &out));
+    LIQUID_CHECK_OK(bench::ReadRecords(
+        *rig->log, rig->log->end_offset() - 100, 64 * 1024, &out));
   }
   state.counters["cache_hit_pct"] =
       100.0 * static_cast<double>(rig->cache->hits()) /
@@ -78,7 +80,7 @@ void BM_RewindReadCold(benchmark::State& state) {
   int64_t offset = 0;
   for (auto _ : state) {
     out.clear();
-    LIQUID_CHECK_OK(rig->log->Read(offset, 64 * 1024, &out));
+    LIQUID_CHECK_OK(bench::ReadRecords(*rig->log, offset, 64 * 1024, &out));
     offset += 50'000;  // Jump far: defeat read-ahead between iterations.
     if (offset > kLogRecords - 1000) offset = 0;
   }
@@ -95,7 +97,7 @@ void BM_RewindReadSequential(benchmark::State& state) {
   int64_t offset = 0;
   for (auto _ : state) {
     out.clear();
-    LIQUID_CHECK_OK(rig->log->Read(offset, 64 * 1024, &out));
+    LIQUID_CHECK_OK(bench::ReadRecords(*rig->log, offset, 64 * 1024, &out));
     offset = out.empty() ? 0 : out.back().offset + 1;
     if (offset >= kLogRecords) offset = 0;
   }
@@ -127,8 +129,8 @@ void BM_RandomReadNoCache(benchmark::State& state) {
   Random pick(7);
   for (auto _ : state) {
     out.clear();
-    LIQUID_CHECK_OK(
-        (*log)->Read(static_cast<int64_t>(pick.Uniform(50'000)), 4096, &out));
+    LIQUID_CHECK_OK(bench::ReadRecords(
+        **log, static_cast<int64_t>(pick.Uniform(50'000)), 4096, &out));
   }
 }
 BENCHMARK(BM_RandomReadNoCache)->Unit(benchmark::kMicrosecond)->Iterations(200);

@@ -377,11 +377,13 @@ class ChaosSoak {
       int64_t cursor = 0;
       while (true) {
         auto fetch = (*leader)->Fetch(tp, cursor, 1 << 20, -1);
-        if (!fetch.ok() || fetch->records.empty()) break;
-        for (const storage::Record& record : fetch->records) {
+        if (!fetch.ok() || fetch->batches.empty()) break;
+        std::vector<storage::Record> records;
+        LIQUID_CHECK_OK(fetch->DecodeRecords(&records));
+        for (const storage::Record& record : records) {
           fetched[record.key].push_back(SeqOf(record.value));
         }
-        cursor = fetch->records.back().offset + 1;
+        cursor = fetch->next_fetch_offset;
       }
     }
     for (const auto& [key, seqs] : fetched) {

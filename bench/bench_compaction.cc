@@ -58,7 +58,7 @@ void RunSweep() {
       std::vector<Record> chunk;
       while (cursor < (*log)->end_offset()) {
         chunk.clear();
-        LIQUID_CHECK_OK((*log)->Read(cursor, 1 << 20, &chunk));
+        LIQUID_CHECK_OK(bench::ReadRecords(**log, cursor, 1 << 20, &chunk));
         if (chunk.empty()) break;
         for (auto& record : chunk) state[record.key] = record.value;
         cursor = chunk.back().offset + 1;

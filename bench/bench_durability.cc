@@ -98,9 +98,11 @@ int64_t MeasureLossOnFailover(AckMode acks, int rf) {
   int64_t cursor = 0;
   while (true) {
     auto fetch = (*survivor)->Fetch(tp, cursor, 1 << 20, -1);
-    if (!fetch.ok() || fetch->records.empty()) break;
-    survived += static_cast<int64_t>(fetch->records.size());
-    cursor = fetch->records.back().offset + 1;
+    if (!fetch.ok() || fetch->batches.empty()) break;
+    std::vector<storage::Record> records;
+    LIQUID_CHECK_OK(fetch->DecodeRecords(&records));
+    survived += static_cast<int64_t>(records.size());
+    cursor = fetch->next_fetch_offset;
   }
   return acked - survived;
 }

@@ -73,9 +73,11 @@ void RunFailoverTimeline() {
     int64_t cursor = 0;
     while (leader.ok()) {
       auto fetch = (*leader)->Fetch(tp, cursor, 1 << 20, -1);
-      if (!fetch.ok() || fetch->records.empty()) break;
-      survived += static_cast<int64_t>(fetch->records.size());
-      cursor = fetch->records.back().offset + 1;
+      if (!fetch.ok() || fetch->batches.empty()) break;
+      std::vector<storage::Record> records;
+      LIQUID_CHECK_OK(fetch->DecodeRecords(&records));
+      survived += static_cast<int64_t>(records.size());
+      cursor = fetch->next_fetch_offset;
     }
     table.AddRow({std::to_string(trial), std::to_string(failover_us), "500",
                   std::to_string(survived),
@@ -113,9 +115,11 @@ void RunSequentialFailures() {
     int64_t count = 0, cursor = 0;
     while (true) {
       auto fetch = (*leader)->Fetch(tp, cursor, 1 << 20, -1);
-      if (!fetch.ok() || fetch->records.empty()) break;
-      count += static_cast<int64_t>(fetch->records.size());
-      cursor = fetch->records.back().offset + 1;
+      if (!fetch.ok() || fetch->batches.empty()) break;
+      std::vector<storage::Record> records;
+      LIQUID_CHECK_OK(fetch->DecodeRecords(&records));
+      count += static_cast<int64_t>(records.size());
+      cursor = fetch->next_fetch_offset;
     }
     return {ok, count};
   };

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/clock.h"
 #include "common/random.h"
 #include "storage/disk.h"
@@ -84,7 +85,8 @@ void BM_TailReadAtLogSize(benchmark::State& state) {
   for (auto _ : state) {
     out.clear();
     // Read the most recent ~100 records (the head of the log).
-    benchmark::DoNotOptimize((*log)->Read(end - 100, 64 * 1024, &out));
+    benchmark::DoNotOptimize(
+        bench::ReadRecords(**log, end - 100, 64 * 1024, &out));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(out.size()));
 }
@@ -115,7 +117,7 @@ void BM_RandomReadIndexAblation(benchmark::State& state) {
   for (auto _ : state) {
     out.clear();
     const int64_t offset = static_cast<int64_t>(pick.Uniform(end));
-    benchmark::DoNotOptimize((*log)->Read(offset, 4096, &out));
+    benchmark::DoNotOptimize(bench::ReadRecords(**log, offset, 4096, &out));
   }
   state.counters["index_interval"] = static_cast<double>(index_interval);
 }

@@ -3,10 +3,31 @@
 
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/status.h"
+#include "storage/log.h"
+#include "storage/record.h"
+
 namespace liquid::bench {
+
+/// Decodes `log`'s records from `offset` on into `out` (appending): the
+/// budgeted gather Broker::Fetch runs (Log::ReadEncodedRange, up to the log
+/// end), each batch decoded with EncodedBatch::DecodeAll.
+inline Status ReadRecords(const storage::Log& log, int64_t offset,
+                          size_t max_bytes, std::vector<storage::Record>* out) {
+  std::vector<storage::EncodedBatch> batches;
+  LIQUID_RETURN_NOT_OK(
+      log.ReadEncodedRange(offset, std::numeric_limits<int64_t>::max(),
+                           max_bytes, &batches)
+          .status());
+  for (const storage::EncodedBatch& batch : batches) {
+    LIQUID_RETURN_NOT_OK(batch.DecodeAll(out));
+  }
+  return Status::OK();
+}
 
 /// Wall-clock stopwatch (microseconds).
 class Stopwatch {

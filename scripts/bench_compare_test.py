@@ -140,6 +140,77 @@ def test_strict_allows_new_benchmarks():
     assert proc.returncode == 0, proc.stderr
 
 
+def run_sets(baseline_runs, current_runs, *flags):
+    """Writes one run_sets.py-style report per run into two directories."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = []
+        for side, runs in (("base", baseline_runs), ("curr", current_runs)):
+            path = os.path.join(tmp, side)
+            os.mkdir(path)
+            for i, value in enumerate(runs):
+                with open(os.path.join(path, f"set0-rep{i}-tail.json"), "w",
+                          encoding="utf-8") as fh:
+                    json.dump({"results": [{"name": "tail",
+                                            "latency_p50_us": value}]}, fh)
+            dirs.append(path)
+        return subprocess.run(
+            [sys.executable, COMPARE, "--sets", *dirs, *flags],
+            capture_output=True, text=True)
+
+
+def test_sets_claim_holds():
+    proc = run_sets([100, 104, 98, 102, 101, 99, 103, 100, 97, 105],
+                    [50, 52, 49, 51, 50, 48, 53, 50, 51, 49],
+                    "--claim", "tail:latency_p50_us")
+    assert proc.returncode == 0, proc.stderr
+    assert "gain" in proc.stdout
+
+
+def test_sets_claim_needs_nine_of_ten_pairs():
+    # The change wins 8 of 10 pairs: not enough, whatever the medians say.
+    proc = run_sets([100, 104, 98, 102, 101, 99, 103, 100, 97, 105],
+                    [50, 52, 49, 51, 50, 48, 53, 50, 120, 130],
+                    "--claim", "tail:latency_p50_us")
+    assert proc.returncode == 1, proc.stdout
+    assert "claim NOT met" in proc.stdout
+
+
+def test_sets_claim_needs_median_gap_beyond_baseline_iqr():
+    # Every pair won, but by less than the baseline's own spread.
+    proc = run_sets([100, 120, 80, 110, 90, 105, 95, 115, 85, 100],
+                    [99, 119, 79, 109, 89, 104, 94, 114, 84, 99],
+                    "--claim", "tail:latency_p50_us")
+    assert proc.returncode == 1, proc.stdout
+    assert "claim NOT met" in proc.stdout
+
+
+def test_sets_unclaimed_regression_fails():
+    proc = run_sets([100] * 4, [130] * 4, "--threshold", "25")
+    assert proc.returncode == 1, proc.stdout
+    assert "REGRESSION" in proc.stdout
+    proc = run_sets([100] * 4, [120] * 4, "--threshold", "25")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_sets_noisy_metric_is_unresolved():
+    # Medians within the threshold, but the baseline's quartiles span 40% of
+    # its median: "held" cannot be told from noise.
+    noisy = [60, 80, 100, 120, 140, 70, 90, 110, 130, 100]
+    proc = run_sets(noisy, [v + 5 for v in noisy], "--threshold", "25")
+    assert proc.returncode == 0, proc.stderr
+    assert "unresolved" in proc.stdout and "unresolved" in proc.stderr
+    # Quiet runs on both sides resolve.
+    proc = run_sets([100, 101, 99, 100], [105, 104, 106, 105],
+                    "--threshold", "25")
+    assert proc.returncode == 0, proc.stderr
+    assert "unresolved" not in proc.stdout
+    # As noisy, but every current run beats every baseline run.
+    proc = run_sets([200, 240, 280, 320], [60, 80, 100, 120],
+                    "--threshold", "25")
+    assert proc.returncode == 0, proc.stderr
+    assert "unresolved" not in proc.stdout
+
+
 def main():
     tests = [(name, fn) for name, fn in sorted(globals().items())
              if name.startswith("test_") and callable(fn)]

@@ -269,23 +269,41 @@ Result<std::pair<int, int64_t>> Broker::EndOffsetForEpoch(
 
 Status Broker::RebuildProducerStateLocked(Replica* replica) {
   replica->producer_last_seq.clear();
+  replica->ongoing_txns.clear();
+  replica->aborted_ranges.clear();
   int64_t cursor = replica->log->start_offset();
   const int64_t end = replica->log->end_offset();
+  storage::EncodedBatch batch;
   std::vector<storage::Record> records;
   while (cursor < end) {
+    LIQUID_RETURN_NOT_OK(replica->log->ReadEncoded(cursor, 1 << 20, &batch));
+    if (batch.empty()) break;
     records.clear();
-    LIQUID_RETURN_NOT_OK(replica->log->Read(cursor, 1 << 20, &records));
-    if (records.empty()) break;
+    LIQUID_RETURN_NOT_OK(batch.DecodeAll(&records));
     for (const storage::Record& record : records) {
-      // Control markers carry a producer id but no sequence; skip them.
-      if (record.producer_id == storage::kNoProducerId || record.sequence < 0) {
+      const int64_t pid = record.producer_id;
+      if (pid == storage::kNoProducerId) continue;
+      if (record.is_control) {
+        // A marker resolves its pid's open transaction (markers carry a
+        // producer id but no sequence).
+        auto open = replica->ongoing_txns.find(pid);
+        if (open == replica->ongoing_txns.end()) continue;
+        if (record.value == "abort") {
+          replica->aborted_ranges.push_back(
+              AbortedTxn{pid, open->second, record.offset});
+        }
+        replica->ongoing_txns.erase(open);
         continue;
       }
-      auto [it, inserted] = replica->producer_last_seq.try_emplace(
-          record.producer_id, record.sequence);
+      if (record.transactional) {
+        replica->ongoing_txns.emplace(pid, record.offset);
+      }
+      if (record.sequence < 0) continue;
+      auto [it, inserted] =
+          replica->producer_last_seq.try_emplace(pid, record.sequence);
       if (!inserted) it->second = std::max(it->second, record.sequence);
     }
-    cursor = records.back().offset + 1;
+    cursor = batch.last_offset() + 1;
   }
   return Status::OK();
 }
@@ -301,19 +319,22 @@ Status Broker::BecomeLeader(const TopicPartition& tp, const PartitionState& stat
   if (state.leader_epoch < replica.leader_epoch) {
     return Status::FailedPrecondition("stale leader epoch");
   }
+  const bool incumbent = replica.is_leader;
   replica.is_leader = true;
   replica.leader = id_;
   replica.leader_epoch = state.leader_epoch;
   replica.isr = state.isr;
   replica.follower_leo.clear();
-  // Idempotence across failover: the dedup map is leader memory, but the
-  // sequences themselves are in the log (stamped before encoding, so
-  // followers replicate them too). A new leader with no dedup state — a
-  // restarted broker recovering from disk, or a follower just promoted —
-  // must rebuild it, or every mid-stream idempotent producer is permanently
-  // fenced with "out-of-order producer sequence". An incumbent leader keeps
-  // its in-memory map, which already matches its log.
-  if (replica.producer_last_seq.empty()) {
+  // Idempotence and isolation across failover: the dedup map and the
+  // transaction ranges are leader memory, but the sequences, transactional
+  // records and markers themselves are in the log (stamped before encoding,
+  // so followers replicate them too). A new leader — a restarted broker
+  // recovering from disk, or a follower just promoted, whose memory may be
+  // stale from an earlier term — must rebuild them, or every mid-stream
+  // idempotent producer is fenced with "out-of-order producer sequence" and
+  // read_committed consumers see aborted data. An incumbent leader keeps
+  // its in-memory state, which already matches its log.
+  if (!incumbent) {
     LIQUID_RETURN_NOT_OK(RebuildProducerStateLocked(&replica));
   }
   NoteEpochLocked(&replica, state.leader_epoch, replica.log->end_offset());
@@ -600,10 +621,14 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
             first_sequence + static_cast<int32_t>(records.size()) - 1;
         advanced_seq = true;
         prev_seq = last;
+        // Stamped so a future leader can rebuild this partition's
+        // transaction ranges from the log (RebuildProducerStateLocked).
+        const bool transactional = replica->ongoing_txns.count(producer_id) > 0;
         int32_t seq = first_sequence;
         for (auto& record : records) {
           record.producer_id = producer_id;
           record.sequence = seq++;
+          record.transactional = transactional;
         }
       }
     }
@@ -870,7 +895,7 @@ Status Broker::WriteTxnMarker(const TopicPartition& tp, int64_t pid,
     LIQUID_ASSIGN_OR_RETURN(marker, replica->log->AppendBatch(&records));
     if (!committed) {
       replica->aborted_ranges.push_back(
-          AbortedRange{pid, it->second, marker.base_offset()});
+          AbortedTxn{pid, it->second, marker.base_offset()});
     }
     replica->ongoing_txns.erase(it);
     leo = marker.last_offset() + 1;
@@ -924,84 +949,94 @@ Result<FetchResponse> Broker::Fetch(const TopicPartition& tp, int64_t offset,
   }
   std::optional<std::vector<int>> publish_isr;
   auto result = [&]() -> Result<FetchResponse> {
+    // The shared membership hold keeps the Replica and its log alive for the
+    // whole fetch (erasing one needs map_mu_ exclusive), as in
+    // AwaitReplicaDurable.
     ReaderMutexLock map_lock(&map_mu_);
     LIQUID_ASSIGN_OR_RETURN(Replica * replica, FindReplicaShared(tp));
-    MutexLock lock(&replica->mu);
-    if (!replica->is_leader) {
-      return Status::NotLeader("broker " + std::to_string(id_) +
-                               " is not leader of " + tp.ToString());
-    }
     FetchResponse resp;
     resp.throttle_ms = throttle_ms;
-    if (replica_id >= 0) {
-      // A replica fetch at `offset` proves the follower has [.., offset).
-      replica->follower_leo[replica_id] = offset;
-      AdvanceHighWatermarkLocked(tp, replica);
-      if (offset >= replica->log->end_offset()) {
-        if (MaybeExpandIsrLocked(tp, replica, replica_id)) {
+    const storage::Log* log = nullptr;
+    int64_t bound = 0;
+    {
+      // Under the replica lock: bookkeeping and a snapshot of the bounds,
+      // never a log read (DESIGN.md §5a).
+      MutexLock lock(&replica->mu);
+      if (!replica->is_leader) {
+        return Status::NotLeader("broker " + std::to_string(id_) +
+                                 " is not leader of " + tp.ToString());
+      }
+      if (replica_id >= 0) {
+        // A replica fetch at `offset` proves the follower has [.., offset).
+        replica->follower_leo[replica_id] = offset;
+        AdvanceHighWatermarkLocked(tp, replica);
+        if (offset >= replica->log->end_offset() &&
+            MaybeExpandIsrLocked(tp, replica, replica_id)) {
           publish_isr = replica->isr;
         }
       }
-      // Replica fetches return the shared encoded buffer: the follower
-      // appends these bytes verbatim (and they were themselves encoded just
-      // once, on the original produce path).
-      LIQUID_RETURN_NOT_OK(
-          replica->log->ReadEncoded(offset, max_bytes, &resp.batch));
-      resp.next_fetch_offset =
-          resp.batch.empty() ? offset : resp.batch.last_offset() + 1;
-    } else {
-      // Consumers see only committed data; read_committed additionally hides
-      // data of ongoing transactions (LSO clamp), aborted data and markers.
-      const int64_t visibility_bound = read_committed
-                                           ? LastStableOffsetLocked(*replica)
-                                           : replica->high_watermark;
-      LIQUID_RETURN_NOT_OK(replica->log->Read(offset, max_bytes, &resp.records));
-      while (!resp.records.empty() &&
-             resp.records.back().offset >= visibility_bound) {
-        resp.records.pop_back();
-      }
-      resp.next_fetch_offset =
-          resp.records.empty() ? std::max(offset, replica->log->start_offset())
-                               : resp.records.back().offset + 1;
-      if (read_committed) {
-        std::vector<storage::Record> visible;
-        visible.reserve(resp.records.size());
-        for (auto& record : resp.records) {
-          if (record.is_control) continue;
-          bool aborted = false;
-          for (const AbortedRange& range : replica->aborted_ranges) {
-            if (record.producer_id == range.pid &&
-                record.offset >= range.first_offset &&
-                record.offset < range.last_offset) {
-              aborted = true;
-              break;
-            }
+      log = replica->log.get();
+      resp.high_watermark = replica->high_watermark;
+      resp.log_start_offset = log->start_offset();
+      resp.log_end_offset = log->end_offset();
+      // Replicas see the whole log. Consumers see committed data only, and
+      // read_committed ones stop at the LSO and get the aborted ranges they
+      // must drop — copied only when some overlap [offset, bound).
+      if (replica_id >= 0) {
+        bound = resp.log_end_offset;
+      } else if (!read_committed) {
+        bound = resp.high_watermark;
+      } else {
+        bound = LastStableOffsetLocked(*replica);
+        const auto overlaps = [offset, bound](const AbortedTxn& txn) {
+          return txn.last_offset > offset && txn.first_offset < bound;
+        };
+        const size_t overlapping = static_cast<size_t>(
+            std::count_if(replica->aborted_ranges.begin(),
+                          replica->aborted_ranges.end(), overlaps));
+        if (overlapping > 0) {
+          resp.aborted.reserve(overlapping);
+          for (const AbortedTxn& txn : replica->aborted_ranges) {
+            if (overlaps(txn)) resp.aborted.push_back(txn);
           }
-          if (!aborted) visible.push_back(std::move(record));
-        }
-        resp.records = std::move(visible);
-      }
-      broker_fetch_records_->Increment(
-          static_cast<int64_t>(resp.records.size()));
-      fetch_records_->Increment(static_cast<int64_t>(resp.records.size()));
-      const int64_t now_us = clock_->NowUs();
-      fetch_us_->Record(now_us - t0);
-      // One "fetch" span per traced record handed to a consumer; the consumer
-      // (or job) parents its own span on the record's span_id afterwards, so
-      // the span_id field stays the record's last producer-side hop.
-      TraceCollector* tracer = TraceCollector::Default();
-      if (tracer->enabled()) {
-        for (const auto& record : resp.records) {
-          if (!record.traced()) continue;
-          tracer->Record(Span{record.trace_id, tracer->NewSpanId(),
-                              record.span_id, t0, now_us, "fetch",
-                              tp.ToString()});
         }
       }
     }
-    resp.high_watermark = replica->high_watermark;
-    resp.log_start_offset = replica->log->start_offset();
-    resp.log_end_offset = replica->log->end_offset();
+    // Off the replica lock: each ReadEncoded step of the gather holds only
+    // the log's own shared lock, so a cold read never stalls this
+    // partition's producers. Truncation, retention and compaction may run
+    // between steps; each step sees a consistent log, and nothing at or past
+    // `bound` is returned.
+    LIQUID_ASSIGN_OR_RETURN(
+        resp.next_fetch_offset,
+        log->ReadEncodedRange(std::max(offset, resp.log_start_offset), bound,
+                              max_bytes, &resp.batches));
+    if (replica_id >= 0) return resp;
+
+    // Count, and give one "fetch" span to, each record the consumer will
+    // see; the consumer (or job) parents its own span on the record's
+    // span_id afterwards, so the span_id field stays the record's last
+    // producer-side hop. Only traced frames are decoded.
+    const int64_t now_us = clock_->NowUs();
+    TraceCollector* tracer = TraceCollector::Default();
+    const bool tracing = tracer->enabled();
+    int64_t visible = 0;
+    for (const storage::EncodedBatch& batch : resp.batches) {
+      for (size_t i = 0; i < batch.frames().size(); ++i) {
+        const storage::BatchFrame& frame = batch.frames()[i];
+        if (!resp.Visible(frame)) continue;
+        ++visible;
+        if (!tracing || !frame.traced) continue;
+        auto record = batch.DecodeFrame(i);
+        if (!record.ok()) continue;
+        tracer->Record(Span{record->trace_id, tracer->NewSpanId(),
+                            record->span_id, t0, now_us, "fetch",
+                            tp.ToString()});
+      }
+    }
+    broker_fetch_records_->Increment(visible);
+    fetch_records_->Increment(visible);
+    fetch_us_->Record(now_us - t0);
     return resp;
   }();
   // Publish after every broker lock is released (coord watches re-enter).
@@ -1013,8 +1048,14 @@ Result<int64_t> Broker::OffsetForTimestamp(const TopicPartition& tp,
                                            int64_t ts_ms) {
   ReaderMutexLock map_lock(&map_mu_);
   LIQUID_ASSIGN_OR_RETURN(Replica * replica, FindReplicaShared(tp));
-  MutexLock lock(&replica->mu);
-  return replica->log->OffsetForTimestamp(ts_ms);
+  const storage::Log* log = nullptr;
+  {
+    MutexLock lock(&replica->mu);
+    log = replica->log.get();
+  }
+  // The segment walk runs off the replica lock, as fetches do (DESIGN.md
+  // §5a); map_mu_ shared keeps the log alive.
+  return log->OffsetForTimestamp(ts_ms);
 }
 
 Result<std::pair<int64_t, int64_t>> Broker::OffsetBounds(
@@ -1068,18 +1109,22 @@ Status Broker::ReplicateFromLeaders() {
     Replica* replica = *replica_result;
     MutexLock lock(&replica->mu);
     if (replica->is_leader) continue;
-    if (!resp->batch.empty() &&
-        resp->batch.base_offset() >= replica->log->end_offset()) {
-      // The leader's shared buffer lands here byte-for-byte.
-      Status st = replica->log->AppendEncoded(resp->batch);
-      if (!st.ok()) continue;
-      for (const auto& frame : resp->batch.frames()) {
+    // The leader's frames land here byte-for-byte; frames already stored
+    // (a push raced this pull) are sliced off the shared buffer, not copied.
+    for (const storage::EncodedBatch& batch : resp->batches) {
+      storage::EncodedBatch fresh = batch;
+      fresh.SliceFrom(replica->log->end_offset());
+      if (fresh.empty()) continue;
+      // A failed append is retried by the next pull; the high watermark
+      // below is capped at what did land.
+      if (!replica->log->AppendEncoded(fresh).ok()) break;
+      for (const auto& frame : fresh.frames()) {
         NoteEpochLocked(replica, frame.leader_epoch, frame.offset);
       }
       replicated_records_->Increment(
-          static_cast<int64_t>(resp->batch.record_count()));
+          static_cast<int64_t>(fresh.record_count()));
       replica->append_records->Increment(
-          static_cast<int64_t>(resp->batch.record_count()));
+          static_cast<int64_t>(fresh.record_count()));
     }
     const int64_t new_hw =
         std::min<int64_t>(resp->high_watermark, replica->log->end_offset());
@@ -1088,7 +1133,7 @@ Status Broker::ReplicateFromLeaders() {
       StoreHighWatermarkLocked(task.tp, replica);
     }
     // If retention deleted our fetch position on the leader, jump forward.
-    if (resp->batch.empty() && task.from < resp->log_start_offset) {
+    if (resp->batches.empty() && task.from < resp->log_start_offset) {
       // Restart the local log at the leader's start offset.
       // (Simplified out-of-range handling.)
       if (Status st = replica->log->Truncate(replica->log->start_offset());
@@ -1112,6 +1157,11 @@ Status Broker::RunLogMaintenance() {
     MutexLock lock(&replica->mu);
     auto deleted = replica->log->ApplyRetention();
     if (!deleted.ok()) return deleted.status();
+    // Aborted ranges whose marker retention deleted hide nothing any more.
+    const int64_t start = replica->log->start_offset();
+    std::erase_if(replica->aborted_ranges, [start](const AbortedTxn& txn) {
+      return txn.last_offset <= start;
+    });
     if (replica->config.log.compaction_enabled) {
       auto stats = replica->log->Compact();
       if (!stats.ok()) return stats.status();

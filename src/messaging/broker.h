@@ -103,15 +103,17 @@ class Broker {
                                   int32_t first_sequence = -1,
                                   const std::string& client_id = "");
 
-  /// Reads records starting at `offset`. Consumers (`replica_id < 0`) see only
-  /// committed data (below the high-watermark); replica fetches see the full
-  /// log — returned as the shared encoded buffer (FetchResponse::batch, the
-  /// encode-once path) — and advance the leader's view of the follower
-  /// (possibly expanding the ISR and the high-watermark).
-  /// `read_committed` hides transactional data until its transaction commits
-  /// (records are clamped to the last-stable-offset, aborted data and
-  /// control markers are filtered out) — the exactly-once extension the
-  /// paper calls an "ongoing effort" (§4.3).
+  /// Reads encoded frames starting at `offset`, up to `max_bytes` (at least
+  /// one record when any is visible). Replica fetches (`replica_id >= 0`)
+  /// see the full log and advance the leader's view of the follower
+  /// (possibly expanding the ISR and the high-watermark); the follower
+  /// appends the frames verbatim. Consumers see committed data only (below
+  /// the high-watermark); `read_committed` also stops at the last stable
+  /// offset and returns the aborted ranges the client drops with
+  /// FetchResponse::DecodeRecords — the exactly-once extension the paper
+  /// calls an "ongoing effort" (§4.3). The replica lock is held only to
+  /// snapshot the bounds; the log is read after it is released (DESIGN.md
+  /// §5a), so producers never wait behind a cold read.
   LIQUID_HOT_PATH
   Result<FetchResponse> Fetch(const TopicPartition& tp, int64_t offset,
                               size_t max_bytes, int replica_id = -1,
@@ -188,12 +190,6 @@ class Broker {
   storage::Disk* disk() { return disk_; }
 
  private:
-  struct AbortedRange {
-    int64_t pid;
-    int64_t first_offset;
-    int64_t last_offset;  // The abort marker's offset (exclusive bound).
-  };
-
   /// One hosted partition. Each replica owns its lock: requests for
   /// different partitions of the same broker proceed fully in parallel.
   /// Non-movable (the Mutex pins it); replicas_ is a node-based map, so
@@ -215,9 +211,11 @@ class Broker {
     std::map<int, int64_t> follower_leo GUARDED_BY(mu);
     // Idempotent-producer dedup: last sequence accepted per producer id.
     std::unordered_map<int64_t, int32_t> producer_last_seq GUARDED_BY(mu);
-    // Transactions: pid -> first offset of the ongoing transaction.
+    // Transactions: pid -> first offset of the ongoing transaction, and the
+    // aborted ones still in the log (leader state, rebuilt from the log when
+    // a replica becomes leader).
     std::map<int64_t, int64_t> ongoing_txns GUARDED_BY(mu);
-    std::vector<AbortedRange> aborted_ranges GUARDED_BY(mu);
+    std::vector<AbortedTxn> aborted_ranges GUARDED_BY(mu);
     // Leader-epoch cache (KIP-101): (epoch, start offset of that epoch),
     // ascending; rebuilt from the log's records when the log opens.
     std::vector<std::pair<int, int64_t>> epoch_cache GUARDED_BY(mu);
@@ -276,11 +274,16 @@ class Broker {
   Status SettleIsr(const TopicPartition& tp, int epoch, int64_t end_offset,
                    const std::vector<int>& followers,
                    const std::vector<int>& failed);
-  /// Rebuilds the idempotent-producer dedup map (producer_last_seq) by
-  /// scanning the log. Called when a replica becomes leader with no dedup
-  /// state — a restarted broker or a promoted follower — so that mid-stream
+  /// Rebuilds the leader's producer state from the log: the idempotent
+  /// dedup map (producer_last_seq), the open transactions (ongoing_txns)
+  /// and the aborted ones (aborted_ranges). Called when a replica becomes
+  /// leader — a restarted broker or a promoted follower — so mid-stream
   /// producers are deduplicated instead of rejected as out-of-order
-  /// (DESIGN.md §7: the chaos soak found exactly this gap).
+  /// (DESIGN.md §7: the chaos soak found exactly this gap), and
+  /// read_committed consumers keep seeing neither aborted nor open
+  /// transactional data. A pid's first transactional record after its
+  /// previous marker opens a range, an abort marker closes it as aborted,
+  /// and a range with no marker yet stays open and bounds the LSO.
   Status RebuildProducerStateLocked(Replica* replica) REQUIRES(replica->mu);
 
   Status LoadHighWatermarkLocked(const TopicPartition& tp, Replica* replica)

@@ -113,8 +113,13 @@ Result<std::vector<ConsumerRecord>> Consumer::Poll(size_t max_records) {
     // liquid-lint: allow(snapshot-then-call): mu_ is the consumer's API lock and the poll is the throttle point; Close/Commit waiting out an in-flight poll is the documented contract.
     // liquid-lint: allow(hot-block): client-side quota contract (section 4.5): the broker never sleeps; an over-quota consumer serves its own throttle verdict here.
     if (resp->throttle_ms > 0) cluster_->clock()->SleepMs(resp->throttle_ms);
+    // Client-side decode: control markers and aborted records are dropped
+    // here, not by the broker. Frames were CRC-checked when the log parsed
+    // them, so a failure here leaves the position alone for the next Poll.
+    std::vector<storage::Record> records;
+    if (!resp->DecodeRecords(&records).ok()) continue;
     bool took_all = true;
-    for (auto& record : resp->records) {
+    for (auto& record : records) {
       if (out.size() >= max_records) {
         took_all = false;
         break;

@@ -56,4 +56,32 @@ Result<PartitionState> PartitionState::Parse(const std::string& data) {
   return state;
 }
 
+bool FetchResponse::Visible(const storage::BatchFrame& frame) const {
+  if (frame.is_control) return false;
+  for (const AbortedTxn& txn : aborted) {
+    if (frame.producer_id == txn.pid && frame.offset >= txn.first_offset &&
+        frame.offset < txn.last_offset) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Status FetchResponse::DecodeRecords(std::vector<storage::Record>* out) const {
+  for (const storage::EncodedBatch& batch : batches) {
+    // Decode the whole batch in one pass (hidden frames are rare), then
+    // close the holes the hidden ones leave; record i is frame i.
+    const size_t first = out->size();
+    LIQUID_RETURN_NOT_OK(batch.DecodeAll(out));
+    size_t kept = first;
+    for (size_t i = 0; i < batch.frames().size(); ++i) {
+      if (!Visible(batch.frames()[i])) continue;
+      if (kept != first + i) (*out)[kept] = std::move((*out)[first + i]);
+      ++kept;
+    }
+    out->resize(kept);
+  }
+  return Status::OK();
+}
+
 }  // namespace liquid::messaging

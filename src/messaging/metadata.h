@@ -80,23 +80,48 @@ struct ProduceResponse {
   int64_t throttle_ms = 0;
 };
 
-/// Broker reply to a fetch request: records plus the log offsets a consumer
-/// needs to track its position and compute lag (high_watermark − position).
+/// One aborted transaction's data in a partition: the records of `pid` with
+/// offsets in [first_offset, last_offset) were rolled back, and the abort
+/// marker sits at last_offset.
+struct AbortedTxn {
+  int64_t pid = storage::kNoProducerId;
+  int64_t first_offset = 0;
+  int64_t last_offset = 0;
+};
+
+/// Broker reply to a fetch request: encoded frames plus the log offsets a
+/// consumer needs to track its position and compute lag (high_watermark −
+/// position).
 struct FetchResponse {
-  std::vector<storage::Record> records;
-  /// Replica fetches get the raw encoded frames as a shared immutable buffer
-  /// instead of `records` (the encode-once path: the follower appends these
-  /// bytes verbatim — no decode/re-encode round trip, no deep copy).
-  storage::EncodedBatch batch;
+  /// The fetched frames in offset order, one Log::ReadEncoded step per
+  /// batch; a batch is a pinned page-cache buffer when its bytes were
+  /// resident (zero-copy). Replica fetches see the whole log and append
+  /// these bytes verbatim. Consumer fetches stop below the visibility bound
+  /// (high watermark, or the last stable offset for read_committed) but
+  /// still carry control markers and aborted data: DecodeRecords drops them
+  /// on the client side, as Kafka's read_committed client does.
+  std::vector<storage::EncodedBatch> batches;
+  /// read_committed fetches only: the aborted transactions overlapping the
+  /// fetched offsets.
+  std::vector<AbortedTxn> aborted;
   int64_t high_watermark = 0;
   int64_t log_start_offset = 0;
   int64_t log_end_offset = 0;
-  /// Where the consumer should fetch next. May be beyond the last returned
-  /// record: read_committed fetches filter out control markers and aborted
-  /// data, and the position must advance past them.
+  /// Where the consumer should fetch next: one past the last fetched frame,
+  /// which may be beyond the last record DecodeRecords yields (control
+  /// markers and aborted data occupy offsets too).
   int64_t next_fetch_offset = 0;
   /// Same client-side throttle contract as ProduceResponse::throttle_ms.
   int64_t throttle_ms = 0;
+
+  /// Whether an application sees this frame's record: false for control
+  /// markers and for records of `aborted` transactions.
+  bool Visible(const storage::BatchFrame& frame) const;
+
+  /// Decodes the records an application sees (the Visible frames),
+  /// appending them to `out`. Frames were CRC-checked when the segment scan
+  /// parsed them, so decoding does not check again.
+  Status DecodeRecords(std::vector<storage::Record>* out) const;
 };
 
 /// Coordination-service paths used by brokers and the controller.

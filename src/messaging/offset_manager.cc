@@ -63,11 +63,13 @@ Result<std::unique_ptr<OffsetManager>> OffsetManager::Open(
 Status OffsetManager::Recover() {
   MutexLock lock(&mu_);
   int64_t cursor = log_->start_offset();
+  storage::EncodedBatch batch;
   std::vector<storage::Record> chunk;
   while (cursor < log_->end_offset()) {
+    LIQUID_RETURN_NOT_OK(log_->ReadEncoded(cursor, 1 << 20, &batch));
+    if (batch.empty()) break;
     chunk.clear();
-    LIQUID_RETURN_NOT_OK(log_->Read(cursor, 1 << 20, &chunk));
-    if (chunk.empty()) break;
+    LIQUID_RETURN_NOT_OK(batch.DecodeAll(&chunk));
     for (const auto& record : chunk) {
       auto commit = DecodeCommit(record.value);
       if (!commit.ok()) continue;
@@ -78,7 +80,7 @@ Status OffsetManager::Recover() {
       }
       cache_[record.key] = std::move(commit).value();
     }
-    cursor = chunk.back().offset + 1;
+    cursor = batch.last_offset() + 1;
   }
   return Status::OK();
 }

@@ -175,6 +175,7 @@ Status Job::RestoreStore(int partition, const StoreConfig& store_config,
       ChangelogTopic(config_.name, store_config.name), partition};
   int64_t cursor = -1;
   int64_t restored = 0;
+  std::vector<storage::Record> records;
   while (true) {
     auto leader = cluster_->LeaderFor(changelog_tp);
     if (!leader.ok()) return leader.status();
@@ -188,8 +189,12 @@ Status Job::RestoreStore(int partition, const StoreConfig& store_config,
     auto resp = (*leader)->Fetch(changelog_tp, cursor, 1 << 20, -1, "",
                                  /*read_committed=*/true);
     if (!resp.ok()) return resp.status();
-    if (resp->records.empty()) break;
-    for (const auto& record : resp->records) {
+    // An empty fetch means the LSO is reached; a fetch holding only markers
+    // or aborted entries decodes to nothing but still moves the cursor.
+    if (resp->batches.empty()) break;
+    records.clear();
+    LIQUID_RETURN_NOT_OK(resp->DecodeRecords(&records));
+    for (const storage::Record& record : records) {
       LIQUID_RETURN_NOT_OK(store->ApplyChangelogRecord(record));
       ++restored;
     }

@@ -345,33 +345,10 @@ Status Log::AppendEncoded(const EncodedBatch& batch) {
 
 Status Log::ReadEncoded(int64_t offset, size_t max_bytes,
                         EncodedBatch* out) const {
+  // Chaos surface: a slow or failing read (cold disk), before the shared
+  // log lock is taken, so an armed delay stalls only this reader.
+  LIQUID_FAULT_POINT("log.read.before");
   ReaderMutexLock lock(&mu_);
-  return ReadEncodedLocked(offset, max_bytes, out);
-}
-
-Status Log::Read(int64_t offset, size_t max_bytes,
-                 std::vector<Record>* out) const {
-  ReaderMutexLock lock(&mu_);
-  size_t gathered = 0;
-  while (gathered < max_bytes) {
-    // Each batch, and the cache page it may pin, dies before the lock does.
-    EncodedBatch batch;
-    LIQUID_RETURN_NOT_OK(
-        ReadEncodedLocked(offset, max_bytes - gathered, &batch));
-    // Only the reply's first record may exceed the budget.
-    if (batch.empty() ||
-        (gathered > 0 && batch.size_bytes() > max_bytes - gathered)) {
-      break;
-    }
-    LIQUID_RETURN_NOT_OK(batch.DecodeAll(out));
-    gathered += batch.size_bytes();
-    offset = batch.last_offset() + 1;
-  }
-  return Status::OK();
-}
-
-Status Log::ReadEncodedLocked(int64_t offset, size_t max_bytes,
-                              EncodedBatch* out) const {
   *out = EncodedBatch();
   offset = std::max(offset, start_offset_);
   if (offset >= next_offset_) return Status::OK();
@@ -416,6 +393,29 @@ Status Log::ReadEncodedLocked(int64_t offset, size_t max_bytes,
   *out = EncodedBatch::FromParts(
       std::make_shared<const std::string>(std::move(bytes)), std::move(frames));
   return Status::OK();
+}
+
+Result<int64_t> Log::ReadEncodedRange(int64_t offset, int64_t bound,
+                                      size_t max_bytes,
+                                      std::vector<EncodedBatch>* out) const {
+  // A gather is usually one copied batch, or a few pinned pages.
+  out->reserve(out->size() + 4);
+  size_t gathered = 0;
+  while (offset < bound && gathered < max_bytes) {
+    EncodedBatch batch;
+    LIQUID_RETURN_NOT_OK(ReadEncoded(offset, max_bytes - gathered, &batch));
+    // Only the first record may exceed the budget.
+    if (batch.empty() ||
+        (gathered > 0 && batch.size_bytes() > max_bytes - gathered)) {
+      break;
+    }
+    batch.TrimToOffset(bound);
+    if (batch.empty()) break;
+    gathered += batch.size_bytes();
+    offset = batch.last_offset() + 1;
+    out->push_back(std::move(batch));
+  }
+  return offset;
 }
 
 Result<int64_t> Log::OffsetForTimestamp(int64_t ts_ms) const {

@@ -131,17 +131,28 @@ class Log {
 
   /// Reads the encoded frames of records with offset >= `offset`, gathering
   /// up to `max_bytes`, at least one record when any exists, as a shared
-  /// buffer (replica-fetch fast path; the buffer may be a pinned cache page).
-  /// Requests below start_offset() are clamped forward to it (retention may
-  /// have deleted the prefix); requests at or past end_offset() return empty.
-  /// A frame that fails its CRC is Corruption.
+  /// buffer: a pinned cache page when the bytes are resident (zero-copy, at
+  /// most one page per call), else one copied gather. This is the log's one
+  /// read path; callers that want more loop on the next offset (or use
+  /// ReadEncodedRange), and decode with EncodedBatch::DecodeAll. Each call
+  /// holds the shared log lock on its own. Requests below start_offset()
+  /// are clamped forward to it (retention may have deleted the prefix);
+  /// requests at or past end_offset() return empty. A frame that fails its
+  /// CRC is Corruption.
   LIQUID_HOT_PATH
   Status ReadEncoded(int64_t offset, size_t max_bytes, EncodedBatch* out) const;
 
-  /// ReadEncoded decoded to Records (appended to `out`): the same segment
-  /// walk, repeated under one shared-lock hold until `max_bytes` is filled,
-  /// since one zero-copy step returns at most a cache page.
-  Status Read(int64_t offset, size_t max_bytes, std::vector<Record>* out) const;
+  /// The budgeted gather every multi-batch reader runs (Broker::Fetch
+  /// among them): appends to `out` the frames of records in
+  /// [offset, bound), one ReadEncoded step per batch, until `max_bytes` are
+  /// gathered (only the first record may exceed the budget). Each step
+  /// takes the shared log lock on its own, so writers interleave between
+  /// steps; the offsets returned are contiguous but for compaction gaps.
+  /// Returns the offset to read next: one past the last gathered frame, or
+  /// `offset` when nothing was gathered.
+  Result<int64_t> ReadEncodedRange(int64_t offset, int64_t bound,
+                                   size_t max_bytes,
+                                   std::vector<EncodedBatch>* out) const;
 
   /// First offset with a timestamp >= ts_ms (metadata-based rewind, §3.1).
   Result<int64_t> OffsetForTimestamp(int64_t ts_ms) const;
@@ -176,9 +187,6 @@ class Log {
   Status RollLocked(int64_t base_offset) REQUIRES(mu_);
   LogSegment* ActiveLocked() REQUIRES(mu_) { return segments_.back().get(); }
   Status AppendBatchLocked(const EncodedBatch& batch) REQUIRES(mu_);
-  /// The log's one segment walk, behind ReadEncoded and Read.
-  Status ReadEncodedLocked(int64_t offset, size_t max_bytes,
-                           EncodedBatch* out) const REQUIRES_SHARED(mu_);
 
   /// Blocks until no append reservation is outstanding. Mutators
   /// (truncation, retention, compaction, follower appends) hold append_mu_

@@ -37,6 +37,7 @@ Status ParseFrame(Slice window, BatchFrame* frame) {
   frame->offset = header.offset;
   frame->timestamp_ms = header.timestamp_ms;
   frame->leader_epoch = header.leader_epoch;
+  frame->producer_id = header.producer_id;
   frame->traced = header.traced;
   frame->is_control = header.is_control;
   frame->pos = 0;

@@ -89,14 +89,18 @@ Status PageCache::Read(uint64_t file_id, const File& file, uint64_t offset,
 
   while (page_no <= last_page) {
     const uint64_t key = MakeKey(file_id, page_no);
-    // Holding a reference pins the buffer: NoteAppend sees use_count() > 1
-    // and clones instead of mutating, so copying outside the lock is safe.
+    // Holding a reference pins the buffer: NoteAppend never moves or
+    // rewrites the bytes it holds, so copying them outside the lock is safe.
+    // Its length is taken under the lock, since appends may extend the
+    // buffer in place.
     std::shared_ptr<const std::string> page_bytes;
+    size_t page_len = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto it = pages_.find(key);
       if (it != pages_.end()) {
         page_bytes = it->second.bytes;
+        page_len = page_bytes->size();
         Touch(&it->second);
         ++hits_;
       } else {
@@ -121,12 +125,13 @@ Status PageCache::Read(uint64_t file_id, const File& file, uint64_t offset,
       }
       page_bytes = std::make_shared<const std::string>(
           chunk.substr(0, std::min<size_t>(page_size, chunk.size())));
+      page_len = page_bytes->size();
     }
     // Copy the requested byte range out of this page.
     const uint64_t page_start = page_no * page_size;
     const uint64_t want_begin = std::max<uint64_t>(offset, page_start);
     const uint64_t want_end =
-        std::min<uint64_t>(offset + n, page_start + page_bytes->size());
+        std::min<uint64_t>(offset + n, page_start + page_len);
     if (want_begin >= want_end) break;
     out->append(page_bytes->data() + (want_begin - page_start),
                 want_end - want_begin);
@@ -181,16 +186,19 @@ void PageCache::NoteAppend(uint64_t file_id, uint64_t offset, const Slice& data)
       Touch(&it->second);
     }
     Page& page = it->second;
-    if (!page.bytes) {
-      page.bytes = std::make_shared<std::string>();
-    } else if (page.bytes.use_count() > 1) {
-      // Copy-on-extend: a pin (or an in-flight Read copy) holds this buffer,
-      // so never mutate it in place — clone first, bounded by page_size.
-      // The use_count() check is race-free: new references are only taken
-      // under mu_, which we hold; a stale count can only be too high (a
-      // reader concurrently dropping its reference), which merely causes a
-      // harmless extra clone.
-      page.bytes = std::make_shared<std::string>(*page.bytes);
+    if (!page.bytes || page.bytes->capacity() < in_page_off + len ||
+        page.bytes->size() > in_page_off) {
+      // A pin (or an in-flight Read copy) may be reading this buffer with no
+      // lock held, so the bytes it holds are never moved or rewritten:
+      // growing past its capacity (or, defensively, overwriting) builds a
+      // new buffer instead, reserved for the whole page so later appends
+      // extend it in place. Checking use_count() for pins would not do: a
+      // relaxed count read does not order a reader's last access before
+      // the write.
+      auto grown = std::make_shared<std::string>();
+      grown->reserve(page_size);
+      if (page.bytes) grown->assign(*page.bytes);
+      page.bytes = std::move(grown);
     }
     std::string& buf = *page.bytes;
     if (buf.size() < in_page_off + len) {

@@ -38,10 +38,13 @@ struct PageCacheConfig {
 class PageCache {
  public:
   /// A refcounted view of one cache-resident page, for zero-copy reads. The
-  /// pin keeps `bytes` alive and immutable for as long as it is held: the
-  /// append path never mutates a pinned buffer in place (it clones the page
-  /// first — copy-on-extend), and eviction/invalidation only drop the
-  /// cache's own reference. `file_offset` is the file position of the
+  /// pin keeps `bytes` alive for as long as it is held, and the bytes it
+  /// held when pinned never change or move: the append path only extends a
+  /// buffer within its reserved capacity (else it builds a new one), and
+  /// eviction/invalidation only drop the cache's own reference. A holder
+  /// with no lock may read those bytes through `bytes->data()`, but not
+  /// `bytes->size()`, which an append may be growing; frame metadata taken
+  /// at pin time bounds the read. `file_offset` is the file position of the
   /// buffer's first byte.
   struct PinnedPage {
     std::shared_ptr<const std::string> bytes;
@@ -85,9 +88,8 @@ class PageCache {
  private:
   struct Page {
     /// Shared so Pin() can hand out refcounted views. NoteAppend extends the
-    /// buffer in place only while the cache holds the sole reference
-    /// (use_count() == 1 under mu_); otherwise it clones first, so a pinned
-    /// buffer is immutable for the life of the pin.
+    /// buffer in place only within its capacity and past its current end;
+    /// otherwise it builds a new buffer, so bytes a pin holds never change.
     std::shared_ptr<std::string> bytes;
     bool written = false;       // Populated by the append path (vs a read).
     int64_t last_write_ms = 0;  // Meaningful only when written.

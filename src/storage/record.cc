@@ -10,6 +10,7 @@ constexpr uint8_t kAttrTombstone = 1u << 0;
 constexpr uint8_t kAttrHasKey = 1u << 1;
 constexpr uint8_t kAttrControl = 1u << 2;
 constexpr uint8_t kAttrTraced = 1u << 3;
+constexpr uint8_t kAttrTransactional = 1u << 4;
 // length + crc + offset + timestamp + producer_id + sequence + leader_epoch
 // + attributes
 constexpr size_t kHeaderFixedBytes = 4 + 4 + 8 + 8 + 8 + 4 + 4 + 1;
@@ -58,6 +59,7 @@ void EncodeRecord(const Record& record, std::string* dst) {
   if (record.has_key) attrs |= kAttrHasKey;
   if (record.is_control) attrs |= kAttrControl;
   if (record.traced()) attrs |= kAttrTraced;
+  if (record.transactional) attrs |= kAttrTransactional;
   body.push_back(static_cast<char>(attrs));
   if (record.traced()) {
     PutFixed64(&body, record.trace_id);
@@ -106,6 +108,7 @@ Status DecodeRecord(Slice* input, Record* record, bool verify_crc) {
   record->is_tombstone = (attrs & kAttrTombstone) != 0;
   record->has_key = (attrs & kAttrHasKey) != 0;
   record->is_control = (attrs & kAttrControl) != 0;
+  record->transactional = (attrs & kAttrTransactional) != 0;
   record->trace_id = trace_id;
   record->span_id = span_id;
   record->ingest_us = static_cast<int64_t>(ingest_us);
@@ -133,6 +136,7 @@ Status DecodeRecordHeader(Slice input, RecordFrameHeader* header,
   header->offset = static_cast<int64_t>(offset);
   header->timestamp_ms = static_cast<int64_t>(timestamp);
   header->leader_epoch = static_cast<int32_t>(leader_epoch);
+  header->producer_id = static_cast<int64_t>(producer_id);
   header->is_control = (attrs & kAttrControl) != 0;
   header->traced = (attrs & kAttrTraced) != 0;
   header->encoded_size = 4 + static_cast<size_t>(length);

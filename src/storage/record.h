@@ -35,6 +35,10 @@ struct Record {
   // Idempotent-producer metadata (optional extension).
   int64_t producer_id = kNoProducerId;
   int32_t sequence = -1;
+  /// Written inside a transaction of `producer_id`: the partition leader
+  /// stamps it, and a new leader rebuilds its open and aborted transaction
+  /// ranges from these records and the control markers.
+  bool transactional = false;
   /// Epoch of the leader that appended this record (KIP-101-style log
   /// reconciliation); -1 before a leader stamps it.
   int32_t leader_epoch = -1;
@@ -100,7 +104,7 @@ struct Record {
 ///   fixed32 sequence
 ///   fixed32 leader_epoch
 ///   byte    attributes      (bit0 tombstone, bit1 has_key, bit2 control,
-///                            bit3 traced)
+///                            bit3 traced, bit4 transactional)
 ///   [fixed64 trace_id, fixed64 span_id, fixed64 ingest_us — only when the
 ///    traced bit is set]
 ///   varint  key_len,  key bytes
@@ -122,6 +126,7 @@ struct RecordFrameHeader {
   int64_t offset = -1;
   int64_t timestamp_ms = 0;
   int32_t leader_epoch = -1;
+  int64_t producer_id = kNoProducerId;
   bool is_control = false;
   bool traced = false;
   /// Total frame size in bytes, including the length prefix.

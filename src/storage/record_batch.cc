@@ -18,6 +18,7 @@ EncodedBatch EncodedBatch::Encode(const std::vector<Record>& records) {
     frame.offset = record.offset;
     frame.timestamp_ms = record.timestamp_ms;
     frame.leader_epoch = record.leader_epoch;
+    frame.producer_id = record.producer_id;
     frame.traced = record.traced();
     frame.is_control = record.is_control;
     frame.pos = buffer->size();

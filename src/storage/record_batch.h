@@ -20,6 +20,7 @@ struct BatchFrame {
   int64_t offset = -1;
   int64_t timestamp_ms = 0;
   int32_t leader_epoch = -1;
+  int64_t producer_id = kNoProducerId;
   bool traced = false;
   bool is_control = false;
   /// Byte position of the frame inside the batch buffer.
@@ -79,8 +80,8 @@ class EncodedBatch {
   const std::shared_ptr<const std::string>& buffer() const { return buffer_; }
 
   /// Decodes every frame into `out` (appending): the edge where the log's
-  /// encoded bytes become Records (Log::Read, consumer fetch). Does not
-  /// re-check CRCs (see FromParts).
+  /// encoded bytes become Records (consumer poll, state-rebuild scans).
+  /// Does not re-check CRCs (see FromParts).
   Status DecodeAll(std::vector<Record>* out) const;
 
   /// Decodes the i-th frame only (e.g. to re-emit a traced record's span

@@ -9,6 +9,7 @@
 #include "common/clock.h"
 #include "processing/operators.h"
 
+#include "read_util.h"
 #include "test_util.h"
 
 namespace liquid::core {
@@ -218,15 +219,15 @@ TEST_F(LiquidTest, RunMaintenanceCompactsAndEvicts) {
   auto fetch_before = (*leader)->Fetch(tp, 0, 100 << 20, -1);
   ASSERT_TRUE(liquid_->RunMaintenance().ok());
   auto fetch_after = (*leader)->Fetch(tp, 0, 100 << 20, -1);
-  EXPECT_LT(fetch_after->records.size(), fetch_before->records.size());
+  EXPECT_LT(Decoded(*fetch_after).size(), Decoded(*fetch_before).size());
   // The materialized view is intact: 20 distinct keys with latest values.
   std::set<std::string> keys;
   int64_t cursor = 0;
   while (true) {
     auto fetch = (*leader)->Fetch(tp, cursor, 1 << 20, -1);
-    if (!fetch.ok() || fetch->records.empty()) break;
-    for (const auto& record : fetch->records) keys.insert(record.key);
-    cursor = fetch->records.back().offset + 1;
+    if (!fetch.ok() || fetch->batches.empty()) break;
+    for (const auto& record : Decoded(*fetch)) keys.insert(record.key);
+    cursor = fetch->next_fetch_offset;
   }
   EXPECT_EQ(keys.size(), 20u);
 }

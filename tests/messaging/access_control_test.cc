@@ -10,6 +10,8 @@
 #include "messaging/consumer.h"
 #include "messaging/producer.h"
 
+#include "read_util.h"
+
 namespace liquid::messaging {
 namespace {
 
@@ -89,7 +91,7 @@ TEST_F(BrokerAclTest, AuthorizedClientWorks) {
   Broker* leader = *cluster_->LeaderFor(tp_);
   auto fetch = leader->Fetch(tp_, 0, 4096, -1, "team-a");
   ASSERT_TRUE(fetch.ok());
-  EXPECT_EQ(fetch->records.size(), 1u);
+  EXPECT_EQ(Decoded(*fetch).size(), 1u);
 }
 
 TEST_F(BrokerAclTest, UnauthorizedWriteRejected) {

@@ -14,6 +14,7 @@
 #include "messaging/producer.h"
 #include "storage/disk.h"
 
+#include "read_util.h"
 #include "test_util.h"
 
 namespace liquid::messaging {
@@ -61,9 +62,9 @@ class FailoverTest : public ::testing::Test {
     int64_t cursor = 0;
     while (true) {
       auto fetch = (*leader)->Fetch(tp, cursor, 1 << 20, -1);
-      if (!fetch.ok() || fetch->records.empty()) break;
-      total += static_cast<int64_t>(fetch->records.size());
-      cursor = fetch->records.back().offset + 1;
+      if (!fetch.ok() || fetch->batches.empty()) break;
+      total += static_cast<int64_t>(Decoded(*fetch).size());
+      cursor = fetch->next_fetch_offset;
     }
     return total;
   }

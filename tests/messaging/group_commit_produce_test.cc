@@ -18,6 +18,7 @@
 #include "messaging/cluster.h"
 #include "storage/log.h"
 
+#include "read_util.h"
 #include "test_util.h"
 
 namespace liquid::messaging {
@@ -62,9 +63,9 @@ class GroupCommitProduceTest : public ::testing::Test {
     int64_t cursor = 0;
     while (true) {
       auto fetch = (*leader)->Fetch(tp_, cursor, 1 << 20, -1);
-      if (!fetch.ok() || fetch->records.empty()) break;
-      count += static_cast<int64_t>(fetch->records.size());
-      cursor = fetch->records.back().offset + 1;
+      if (!fetch.ok() || fetch->batches.empty()) break;
+      count += static_cast<int64_t>(Decoded(*fetch).size());
+      cursor = fetch->next_fetch_offset;
     }
     return count;
   }

@@ -7,6 +7,8 @@
 #include "messaging/cluster.h"
 #include "messaging/producer.h"
 
+#include "read_util.h"
+
 namespace liquid::messaging {
 namespace {
 
@@ -93,10 +95,11 @@ TEST_F(IdempotenceTest, ProducerClientTracksSequencesPerPartition) {
   cluster_->ReplicationTick();
   cluster_->ReplicationTick();
   auto fetch = (*leader)->Fetch(tp_, 0, 1 << 20, -1);
-  ASSERT_EQ(fetch->records.size(), 10u);
+  const std::vector<storage::Record> records = Decoded(*fetch);
+  ASSERT_EQ(records.size(), 10u);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(fetch->records[i].producer_id, producer.producer_id());
-    EXPECT_EQ(fetch->records[i].sequence, i);
+    EXPECT_EQ(records[i].producer_id, producer.producer_id());
+    EXPECT_EQ(records[i].sequence, i);
   }
 }
 
@@ -111,11 +114,13 @@ TEST_F(IdempotenceTest, AtLeastOnceConsumerSeesDuplicatesOnReplay) {
   }
   auto first = (*leader)->Fetch(tp_, 0, 1 << 20, -1);
   auto replay = (*leader)->Fetch(tp_, 0, 1 << 20, -1);
-  EXPECT_EQ(first->records.size(), replay->records.size());
+  const std::vector<storage::Record> first_records = Decoded(*first);
+  const std::vector<storage::Record> replay_records = Decoded(*replay);
+  ASSERT_EQ(first_records.size(), replay_records.size());
   // Same offsets, same payloads: replay is deterministic.
-  for (size_t i = 0; i < first->records.size(); ++i) {
-    EXPECT_EQ(first->records[i].offset, replay->records[i].offset);
-    EXPECT_EQ(first->records[i].value, replay->records[i].value);
+  for (size_t i = 0; i < first_records.size(); ++i) {
+    EXPECT_EQ(first_records[i].offset, replay_records[i].offset);
+    EXPECT_EQ(first_records[i].value, replay_records[i].value);
   }
 }
 

@@ -12,6 +12,7 @@
 #include "messaging/metadata.h"
 #include "storage/record.h"
 
+#include "read_util.h"
 #include "test_util.h"
 
 namespace liquid::messaging {
@@ -206,21 +207,24 @@ TEST_F(ParallelProduceStressTest, SharedBufferFetchMatchesDeepCopyBytes) {
   // Replica path: shared immutable buffer.
   auto replica_fetch = broker->Fetch(tp, 0, 1 << 20, /*replica_id=*/7);
   LIQUID_ASSERT_OK(replica_fetch);
-  ASSERT_EQ(replica_fetch->batch.record_count(), 4u);
-  const Slice shared = replica_fetch->batch.bytes();
+  ASSERT_EQ(replica_fetch->batches.size(), 1u);
+  const storage::EncodedBatch& shared_batch = replica_fetch->batches[0];
+  ASSERT_EQ(shared_batch.record_count(), 4u);
+  const Slice shared = shared_batch.bytes();
 
   // Consumer path: the same frames decoded to Record structs, re-encoded.
   auto consumer_fetch = broker->Fetch(tp, 0, 1 << 20, -1);
   LIQUID_ASSERT_OK(consumer_fetch);
-  ASSERT_EQ(consumer_fetch->records.size(), 4u);
+  const std::vector<storage::Record> records = Decoded(*consumer_fetch);
+  ASSERT_EQ(records.size(), 4u);
   std::string reencoded;
-  for (const storage::Record& record : consumer_fetch->records) {
+  for (const storage::Record& record : records) {
     storage::EncodeRecord(record, &reencoded);
   }
   EXPECT_EQ(std::string(shared.data(), shared.size()), reencoded);
 
   // The traced record's context survives the shared-buffer round trip.
-  auto decoded = replica_fetch->batch.DecodeFrame(1);
+  auto decoded = shared_batch.DecodeFrame(1);
   LIQUID_ASSERT_OK(decoded);
   EXPECT_EQ(decoded->trace_id, traced.trace_id);
   EXPECT_EQ(decoded->span_id, traced.span_id);

@@ -10,6 +10,7 @@
 #include "messaging/offset_manager.h"
 #include "messaging/producer.h"
 
+#include "read_util.h"
 #include "test_util.h"
 
 namespace liquid::messaging {
@@ -239,13 +240,13 @@ TEST_F(ProduceConsumeTest, FetchSeesOnlyCommittedData) {
   // No replication tick yet: HW is still 0, consumers see nothing.
   auto fetch = (*leader)->Fetch(tp, 0, 1 << 20, -1);
   ASSERT_TRUE(fetch.ok());
-  EXPECT_TRUE(fetch->records.empty());
+  EXPECT_TRUE(fetch->batches.empty());
   EXPECT_EQ(fetch->log_end_offset, 1);
 
   cluster_->ReplicationTick();
   cluster_->ReplicationTick();  // Second tick advances HW from follower LEOs.
   fetch = (*leader)->Fetch(tp, 0, 1 << 20, -1);
-  EXPECT_EQ(fetch->records.size(), 1u);
+  EXPECT_EQ(Decoded(*fetch).size(), 1u);
 }
 
 TEST_F(ProduceConsumeTest, ProducerRetriesAfterLeaderFailover) {

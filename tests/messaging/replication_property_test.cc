@@ -9,6 +9,7 @@
 #include "messaging/broker.h"
 #include "messaging/cluster.h"
 
+#include "read_util.h"
 #include "test_util.h"
 
 namespace liquid::messaging {
@@ -105,8 +106,8 @@ TEST_P(ReplicationPropertyTest, InvariantsHoldUnderRandomFaults) {
   while (cursor < hw) {
     auto fetch = (*leader)->Fetch(tp, cursor, 1 << 20, -1);
     ASSERT_TRUE(fetch.ok());
-    if (fetch->records.empty()) break;
-    for (const auto& record : fetch->records) {
+    if (fetch->batches.empty()) break;
+    for (const auto& record : Decoded(*fetch)) {
       if (!all.empty()) {
         EXPECT_GT(record.offset, all.back().offset);
       }

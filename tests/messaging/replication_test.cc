@@ -7,6 +7,7 @@
 #include "messaging/cluster.h"
 #include "messaging/producer.h"
 
+#include "read_util.h"
 #include "test_util.h"
 
 namespace liquid::messaging {
@@ -179,7 +180,7 @@ TEST_F(ReplicationTest, ToleratesNMinus1FailuresWithAcksAll) {
   ASSERT_TRUE(leader.ok());
   auto fetch = (*leader)->Fetch(tp, 0, 1 << 20, -1);
   ASSERT_TRUE(fetch.ok());
-  EXPECT_EQ(fetch->records.size(), 3u);
+  EXPECT_EQ(Decoded(*fetch).size(), 3u);
 }
 
 TEST_F(ReplicationTest, FollowerRejectsStaleEpochPush) {
@@ -278,9 +279,9 @@ TEST_F(ReplicationTest, Kip101TruncatesDivergentSuffixBelowLeaderLeo) {
   int64_t cursor = 0;
   while (true) {
     auto fetch = (*leader)->Fetch(tp, cursor, 1 << 20, -1);
-    if (!fetch.ok() || fetch->records.empty()) break;
-    for (const auto& record : fetch->records) values.push_back(record.value);
-    cursor = fetch->records.back().offset + 1;
+    if (!fetch.ok() || fetch->batches.empty()) break;
+    for (const auto& record : Decoded(*fetch)) values.push_back(record.value);
+    cursor = fetch->next_fetch_offset;
   }
   ASSERT_EQ(values.size(), 3u);
   EXPECT_EQ(values[0], "common");
@@ -326,8 +327,9 @@ TEST_F(ReplicationTest, RecordsCarryLeaderEpoch) {
   cluster_->ReplicationTick();
   auto fetch = (*leader)->Fetch(tp, 0, 1 << 20, -1);
   ASSERT_TRUE(fetch.ok());
-  ASSERT_EQ(fetch->records.size(), 2u);
-  EXPECT_LT(fetch->records[0].leader_epoch, fetch->records[1].leader_epoch);
+  const std::vector<storage::Record> records = Decoded(*fetch);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_LT(records[0].leader_epoch, records[1].leader_epoch);
 }
 
 }  // namespace

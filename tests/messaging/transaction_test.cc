@@ -6,11 +6,13 @@
 #include <set>
 
 #include "common/clock.h"
+#include "common/metrics.h"
 #include "messaging/broker.h"
 #include "messaging/cluster.h"
 #include "messaging/consumer.h"
 #include "messaging/producer.h"
 
+#include "read_util.h"
 #include "test_util.h"
 
 namespace liquid::messaging {
@@ -123,6 +125,32 @@ TEST_F(TransactionTest, AbortedDataNeverVisible) {
   EXPECT_EQ(values[0], "survivor");
 }
 
+TEST_F(TransactionTest, AbortedDataStaysHiddenAfterLeaderFailover) {
+  // Aborted ranges are leader memory. A promoted follower must rebuild them
+  // from the log's transactional records and markers, or read_committed
+  // consumers see the aborted data after failover.
+  auto producer = NewTxnProducer("t1");
+  LIQUID_ASSERT_OK(producer->BeginTransaction());
+  for (int i = 0; i < 4; ++i) {
+    LIQUID_ASSERT_OK(
+        producer->Send("out", storage::Record::KeyValue("k", "doomed")));
+  }
+  LIQUID_ASSERT_OK(producer->AbortTransaction());
+  LIQUID_ASSERT_OK(producer->BeginTransaction());
+  LIQUID_ASSERT_OK(
+      producer->Send("out", storage::Record::KeyValue("k", "survivor")));
+  LIQUID_ASSERT_OK(producer->CommitTransaction());
+
+  const TopicPartition tp{"out", 0};
+  const int old_leader = cluster_->GetPartitionState(tp)->leader;
+  LIQUID_ASSERT_OK(cluster_->StopBroker(old_leader));
+  ASSERT_NE(cluster_->GetPartitionState(tp)->leader, old_leader);
+
+  const std::vector<std::string> values = ReadCommitted("after-failover");
+  ASSERT_EQ(values.size(), 1u);
+  EXPECT_EQ(values[0], "survivor");
+}
+
 TEST_F(TransactionTest, MultiPartitionAtomicity) {
   auto producer = NewTxnProducer("t1");
   // Round-robin spreads the batch over both partitions; abort removes all.
@@ -205,6 +233,71 @@ TEST_F(TransactionTest, LastStableOffsetTracksOngoingTxns) {
 
   ASSERT_TRUE(leader->WriteTxnMarker(tp, 777, /*committed=*/true).ok());
   EXPECT_EQ(*leader->LastStableOffset(tp), *leader->HighWatermark(tp));
+}
+
+TEST_F(TransactionTest, RetentionPrunesAbortedRangesItDeleted) {
+  TopicConfig topic;
+  topic.partitions = 1;
+  topic.replication_factor = 1;
+  topic.log.segment_bytes = 1024;
+  topic.log.retention_bytes = 4096;
+  ASSERT_TRUE(cluster_->CreateTopic("pruned", topic).ok());
+  const TopicPartition tp{"pruned", 0};
+  Broker* leader = *cluster_->LeaderFor(tp);
+
+  ASSERT_TRUE(leader->BeginPartitionTxn(tp, 777).ok());
+  std::vector<storage::Record> doomed{storage::Record::KeyValue("k", "doomed")};
+  LIQUID_ASSERT_OK(leader->Produce(tp, doomed, AckMode::kAll, 777, 0));
+  ASSERT_TRUE(leader->WriteTxnMarker(tp, 777, /*committed=*/false).ok());
+  auto fetch = leader->Fetch(tp, 0, 1 << 20, -1, "", /*read_committed=*/true);
+  LIQUID_ASSERT_OK(fetch.status());
+  ASSERT_EQ(fetch->aborted.size(), 1u);
+  EXPECT_TRUE(Decoded(*fetch).empty());
+
+  // Enough later data that retention deletes the aborted range and its
+  // marker; a fetch from offset 0 then carries no stale range.
+  for (int i = 0; i < 100; ++i) {
+    std::vector<storage::Record> plain{
+        storage::Record::KeyValue("k", std::string(100, 'v'))};
+    LIQUID_ASSERT_OK(leader->Produce(tp, plain, AckMode::kAll));
+  }
+  LIQUID_ASSERT_OK(leader->RunLogMaintenance());
+  fetch = leader->Fetch(tp, 0, 1 << 20, -1, "", /*read_committed=*/true);
+  LIQUID_ASSERT_OK(fetch.status());
+  ASSERT_GT(fetch->log_start_offset, 2);
+  EXPECT_TRUE(fetch->aborted.empty());
+  EXPECT_FALSE(Decoded(*fetch).empty());
+}
+
+TEST_F(TransactionTest, FetchCountsOnlyTheRecordsConsumersSee) {
+  // The broker serves aborted data and markers as frames and the consumer
+  // drops them, but fetch_records counts what the consumer keeps. An
+  // aborted range hides only its own producer's records: a plain record
+  // written inside it stays visible.
+  TopicConfig topic;
+  topic.partitions = 1;
+  topic.replication_factor = 1;
+  ASSERT_TRUE(cluster_->CreateTopic("mixed", topic).ok());
+  const TopicPartition tp{"mixed", 0};
+  Broker* leader = *cluster_->LeaderFor(tp);
+  ASSERT_TRUE(leader->BeginPartitionTxn(tp, 777).ok());
+  std::vector<storage::Record> doomed{storage::Record::KeyValue("k", "doomed")};
+  std::vector<storage::Record> plain{storage::Record::KeyValue("k", "plain")};
+  LIQUID_ASSERT_OK(leader->Produce(tp, doomed, AckMode::kAll, 777, 0));
+  LIQUID_ASSERT_OK(leader->Produce(tp, plain, AckMode::kAll));
+  LIQUID_ASSERT_OK(leader->Produce(tp, doomed, AckMode::kAll, 777, 1));
+  ASSERT_TRUE(leader->WriteTxnMarker(tp, 777, /*committed=*/false).ok());
+
+  Counter* fetched = MetricsRegistry::Default()->GetCounter(
+      "liquid.broker." + std::to_string(leader->id()) + ".fetch_records");
+  const int64_t before = fetched->value();
+  auto fetch = leader->Fetch(tp, 0, 1 << 20, -1, "", /*read_committed=*/true);
+  LIQUID_ASSERT_OK(fetch.status());
+  EXPECT_EQ(fetch->next_fetch_offset, 4);  // 3 records and the marker.
+  const std::vector<storage::Record> records = Decoded(*fetch);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].value, "plain");
+  EXPECT_EQ(fetched->value() - before, 1);
 }
 
 TEST_F(TransactionTest, ControlMarkersNeverDelivered) {

@@ -67,9 +67,9 @@ class ProcessingTestBase : public ::testing::Test {
     int64_t cursor = 0;
     while (true) {
       auto resp = (*leader)->Fetch(tp, cursor, 1 << 20, -1);
-      if (!resp.ok() || resp->records.empty()) break;
-      cursor = resp->records.back().offset + 1;
-      for (auto& record : resp->records) out.push_back(std::move(record));
+      if (!resp.ok() || resp->batches.empty()) break;
+      cursor = resp->next_fetch_offset;
+      EXPECT_TRUE(resp->DecodeRecords(&out).ok());
     }
     return out;
   }

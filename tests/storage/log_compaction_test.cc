@@ -8,6 +8,7 @@
 #include "common/random.h"
 #include "storage/log.h"
 
+#include "read_util.h"
 #include "test_util.h"
 
 namespace liquid::storage {
@@ -30,7 +31,7 @@ class LogCompactionTest : public ::testing::Test {
   std::map<std::string, std::pair<std::string, bool>> Materialize(Log* log) {
     std::map<std::string, std::pair<std::string, bool>> view;
     std::vector<Record> out;
-    LIQUID_EXPECT_OK(log->Read(log->start_offset(), 100 << 20, &out));
+    LIQUID_EXPECT_OK(ReadRecords(*log, log->start_offset(), 100 << 20, &out));
     for (const Record& r : out) {
       view[r.key] = {r.value, r.is_tombstone};
     }
@@ -80,7 +81,7 @@ TEST_F(LogCompactionTest, OffsetsPreservedWithGaps) {
   LIQUID_ASSERT_OK(log->Compact());
   EXPECT_EQ(log->end_offset(), end_before);  // End offset untouched.
   std::vector<Record> out;
-  LIQUID_ASSERT_OK(log->Read(0, 100 << 20, &out));
+  LIQUID_ASSERT_OK(ReadRecords(*log, 0, 100 << 20, &out));
   // Offsets strictly increasing (gaps allowed).
   for (size_t i = 1; i < out.size(); ++i) {
     EXPECT_LT(out[i - 1].offset, out[i].offset);
@@ -96,7 +97,7 @@ TEST_F(LogCompactionTest, ActiveSegmentNeverRewritten) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->segments_cleaned, 0);
   std::vector<Record> out;
-  LIQUID_ASSERT_OK(log->Read(0, 1 << 20, &out));
+  LIQUID_ASSERT_OK(ReadRecords(*log, 0, 1 << 20, &out));
   EXPECT_EQ(out.size(), 2u);  // Both survive: active segment untouched.
 }
 
@@ -157,7 +158,7 @@ TEST_F(LogCompactionTest, DisabledCompactionIsNoOp) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->segments_cleaned, 0);
   std::vector<Record> out;
-  LIQUID_ASSERT_OK((*log)->Read(0, 100 << 20, &out));
+  LIQUID_ASSERT_OK(ReadRecords(**log, 0, 100 << 20, &out));
   EXPECT_EQ(out.size(), 100u);
 }
 

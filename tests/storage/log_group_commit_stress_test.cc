@@ -19,6 +19,7 @@
 #include "storage/page_cache.h"
 #include "storage/record_batch.h"
 
+#include "read_util.h"
 #include "test_util.h"
 
 namespace liquid::storage {
@@ -27,7 +28,7 @@ namespace {
 TEST(LogGroupCommitStressTest, AppendersRaceCommitterAndPinnedReaders) {
   MemDisk disk;
   SimulatedClock clock(1000);
-  // Small pages and capacity so eviction and copy-on-extend fire constantly
+  // Small pages and capacity so eviction and page regrowth fire constantly
   // under the readers' pins.
   PageCacheConfig cache_config;
   cache_config.page_size = 512;
@@ -73,13 +74,13 @@ TEST(LogGroupCommitStressTest, AppendersRaceCommitterAndPinnedReaders) {
       }
     });
   }
-  // Reader 0 decodes through Log::Read, which drops each batch's page pin
-  // before releasing the log lock.
+  // Reader 0 decodes a budget's worth of ReadEncoded steps, holding each
+  // step's page pin past the log lock, as a consumer fetch does.
   threads.emplace_back([&] {
     int64_t cursor = 0;
     while (!stop.load(std::memory_order_acquire)) {
       std::vector<Record> records;
-      LIQUID_ASSERT_OK(log->Read(cursor, 8 << 10, &records));
+      LIQUID_ASSERT_OK(ReadRecords(*log, cursor, 8 << 10, &records));
       for (size_t i = 1; i < records.size(); ++i) {
         ASSERT_EQ(records[i].offset, records[i - 1].offset + 1);
       }

@@ -17,6 +17,7 @@
 #include "common/metrics.h"
 #include "storage/disk.h"
 
+#include "read_util.h"
 #include "test_util.h"
 
 namespace liquid::storage {
@@ -53,7 +54,7 @@ class LogGroupCommitTest : public ::testing::Test {
 
   int64_t CountRecords(Log* log) {
     std::vector<Record> out;
-    EXPECT_TRUE(log->Read(0, 64 << 20, &out).ok());
+    EXPECT_TRUE(ReadRecords(*log, 0, 64 << 20, &out).ok());
     return static_cast<int64_t>(out.size());
   }
 

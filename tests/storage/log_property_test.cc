@@ -8,6 +8,8 @@
 #include "storage/disk.h"
 #include "storage/log.h"
 
+#include "read_util.h"
+
 namespace liquid::storage {
 namespace {
 
@@ -27,7 +29,7 @@ std::vector<Record> ReadAll(Log* log) {
   int64_t cursor = log->start_offset();
   while (cursor < log->end_offset()) {
     std::vector<Record> chunk;
-    EXPECT_TRUE(log->Read(cursor, 1 << 20, &chunk).ok());
+    EXPECT_TRUE(ReadRecords(*log, cursor, 1 << 20, &chunk).ok());
     if (chunk.empty()) break;
     out.insert(out.end(), chunk.begin(), chunk.end());
     cursor = chunk.back().offset + 1;

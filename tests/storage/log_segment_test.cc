@@ -20,7 +20,7 @@ EncodedBatch MakeBatch(int64_t base_offset, int count, int64_t base_ts = 1000) {
   return EncodedBatch::Encode(out);
 }
 
-// The segment only speaks encoded frames; decode them as Log::Read does.
+// The segment only speaks encoded frames; decode them as log readers do.
 Status ReadRecords(const LogSegment& segment, int64_t from, size_t max_bytes,
                    std::vector<Record>* out) {
   std::string buf;

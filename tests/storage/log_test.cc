@@ -8,6 +8,7 @@
 #include "common/clock.h"
 #include "common/metrics.h"
 
+#include "read_util.h"
 #include "test_util.h"
 
 namespace liquid::storage {
@@ -62,7 +63,7 @@ TEST_F(LogTest, ExplicitTimestampPreserved) {
   std::vector<Record> batch{Record::KeyValue("k", "v", 42)};
   LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   std::vector<Record> out;
-  LIQUID_ASSERT_OK(log->Read(0, 1 << 20, &out));
+  LIQUID_ASSERT_OK(ReadRecords(*log, 0, 1 << 20, &out));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].timestamp_ms, 42);
 }
@@ -78,7 +79,7 @@ TEST_F(LogTest, RollsSegmentsAtConfiguredSize) {
   EXPECT_GT(log->segment_count(), 3);
   // All data still readable across segment boundaries.
   std::vector<Record> out;
-  ASSERT_TRUE(log->Read(0, 10 << 20, &out).ok());
+  ASSERT_TRUE(ReadRecords(*log, 0, 10 << 20, &out).ok());
   EXPECT_EQ(out.size(), 100u);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(out[i].offset, i);
 }
@@ -86,45 +87,77 @@ TEST_F(LogTest, RollsSegmentsAtConfiguredSize) {
 TEST_F(LogTest, BudgetedReadsNeverSkipPastASegmentBoundary) {
   // A read that fills its byte budget inside a closed segment must stop
   // there, not append the next segment's first record and skip the rest of
-  // the current one. The log has no page cache, so ReadEncoded takes its
-  // copying path as well.
-  LogConfig config;
-  config.segment_bytes = 1024;
-  auto log = OpenLog(config);
-  for (int i = 0; i < 40; ++i) {
-    auto batch = KeyedBatch(5, "key-" + std::to_string(i) + "-");
-    LIQUID_ASSERT_OK(log->AppendBatch(&batch));
-  }
-  ASSERT_GT(log->segment_count(), 3);
-  const int64_t end = log->end_offset();
+  // the current one. Checked for one ReadEncoded step and for the
+  // multi-step gather Broker::Fetch runs (ReadEncodedRange), on the copying
+  // path (no page cache) and on pinned pages (one page per step).
   constexpr size_t kBudget = 300;  // A fraction of one segment.
+  PageCache cache({}, &clock_);
+  for (PageCache* with : {static_cast<PageCache*>(nullptr), &cache}) {
+    SCOPED_TRACE(with == nullptr ? "copying" : "pinned");
+    LogConfig config;
+    config.segment_bytes = 1024;
+    std::unique_ptr<Log> log =
+        std::move(Log::Open(&disk_, with, with == nullptr ? "copy/" : "pin/",
+                            config, &clock_))
+            .value();
+    for (int i = 0; i < 40; ++i) {
+      auto batch = KeyedBatch(5, "key-" + std::to_string(i) + "-");
+      LIQUID_ASSERT_OK(log->AppendBatch(&batch));
+    }
+    ASSERT_GT(log->segment_count(), 3);
+    const int64_t end = log->end_offset();
 
-  for (int64_t offset = 0; offset < end;) {
-    std::vector<Record> out;
-    LIQUID_ASSERT_OK(log->Read(offset, kBudget, &out));
-    ASSERT_FALSE(out.empty()) << "at " << offset;
-    for (size_t i = 0; i < out.size(); ++i) {
-      ASSERT_EQ(out[i].offset, offset + static_cast<int64_t>(i))
-          << "Read from " << offset;
+    for (int64_t offset = 0; offset < end;) {
+      EncodedBatch batch;
+      LIQUID_ASSERT_OK(log->ReadEncoded(offset, kBudget, &batch));
+      ASSERT_FALSE(batch.empty()) << "at " << offset;
+      for (size_t i = 0; i < batch.frames().size(); ++i) {
+        ASSERT_EQ(batch.frames()[i].offset, offset + static_cast<int64_t>(i))
+            << "ReadEncoded from " << offset;
+      }
+      offset = batch.last_offset() + 1;
     }
-    offset = out.back().offset + 1;
-  }
-  for (int64_t offset = 0; offset < end;) {
-    EncodedBatch batch;
-    LIQUID_ASSERT_OK(log->ReadEncoded(offset, kBudget, &batch));
-    ASSERT_FALSE(batch.empty()) << "at " << offset;
-    for (size_t i = 0; i < batch.frames().size(); ++i) {
-      ASSERT_EQ(batch.frames()[i].offset, offset + static_cast<int64_t>(i))
-          << "ReadEncoded from " << offset;
+    for (int64_t offset = 0; offset < end;) {
+      std::vector<EncodedBatch> batches;
+      auto next = log->ReadEncodedRange(offset, end, kBudget, &batches);
+      LIQUID_ASSERT_OK(next.status());
+      ASSERT_FALSE(batches.empty()) << "at " << offset;
+      int64_t expected = offset;
+      for (const EncodedBatch& batch : batches) {
+        for (const BatchFrame& frame : batch.frames()) {
+          ASSERT_EQ(frame.offset, expected++)
+              << "ReadEncodedRange from " << offset;
+        }
+      }
+      ASSERT_EQ(*next, expected);
+      offset = *next;
     }
-    offset = batch.last_offset() + 1;
   }
+}
+
+TEST_F(LogTest, ReadEncodedRangeStopsAtItsBound) {
+  auto log = OpenLog(LogConfig{});
+  auto batch = KeyedBatch(10);
+  LIQUID_ASSERT_OK(log->AppendBatch(&batch));
+  std::vector<EncodedBatch> batches;
+  auto next = log->ReadEncodedRange(2, 7, 1 << 20, &batches);
+  LIQUID_ASSERT_OK(next.status());
+  EXPECT_EQ(*next, 7);
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0].base_offset(), 2);
+  EXPECT_EQ(batches[0].last_offset(), 6);
+  // Nothing below the bound: nothing gathered, the cursor stays put.
+  batches.clear();
+  next = log->ReadEncodedRange(7, 7, 1 << 20, &batches);
+  LIQUID_ASSERT_OK(next.status());
+  EXPECT_EQ(*next, 7);
+  EXPECT_TRUE(batches.empty());
 }
 
 TEST_F(LogTest, ReadDecodesEveryRecordPastPinnedPagesAndGaps) {
   // Over a cache-resident log each zero-copy step returns at most one page,
-  // so a 1 MiB Read must keep walking across pages, compaction gaps and
-  // segments until the log ends.
+  // so a 1 MiB gather (ReadEncodedRange, which Broker::Fetch runs) must keep
+  // walking across pages, compaction gaps and segments until the log ends.
   PageCache cache({}, &clock_);
   LogConfig config;
   config.segment_bytes = 1024;  // Only the last batch stays uncompacted.
@@ -154,7 +187,7 @@ TEST_F(LogTest, ReadDecodesEveryRecordPastPinnedPagesAndGaps) {
   }
   ASSERT_LT(expected.size(), appended.size());  // Compaction left gaps.
   std::vector<Record> out;
-  LIQUID_ASSERT_OK(log->Read(0, 1 << 20, &out));
+  LIQUID_ASSERT_OK(ReadRecords(*log, 0, 1 << 20, &out));
   EXPECT_EQ(EncodedBatch::Encode(out).bytes().ToString(),
             EncodedBatch::Encode(expected).bytes().ToString());
 }
@@ -175,7 +208,7 @@ TEST_F(LogTest, BitFlipSurfacesAsCorruptionOnRead) {
   LIQUID_ASSERT_OK((*file)->Append(bytes));
 
   std::vector<Record> out;
-  const Status read = log->Read(0, 1 << 20, &out);
+  const Status read = ReadRecords(*log, 0, 1 << 20, &out);
   EXPECT_TRUE(read.IsCorruption()) << read.ToString();
   EXPECT_TRUE(out.empty());
 }
@@ -185,9 +218,9 @@ TEST_F(LogTest, ReadPastEndReturnsEmpty) {
   auto batch = KeyedBatch(3);
   LIQUID_ASSERT_OK(log->AppendBatch(&batch));
   std::vector<Record> out;
-  ASSERT_TRUE(log->Read(3, 1 << 20, &out).ok());
+  ASSERT_TRUE(ReadRecords(*log, 3, 1 << 20, &out).ok());
   EXPECT_TRUE(out.empty());
-  ASSERT_TRUE(log->Read(1000, 1 << 20, &out).ok());
+  ASSERT_TRUE(ReadRecords(*log, 1000, 1 << 20, &out).ok());
   EXPECT_TRUE(out.empty());
 }
 
@@ -206,7 +239,7 @@ TEST_F(LogTest, ReopenRecoversAcrossSegments) {
   EXPECT_EQ(reopened->end_offset(), 50);
   EXPECT_GT(reopened->segment_count(), 1);
   std::vector<Record> out;
-  LIQUID_ASSERT_OK(reopened->Read(17, 10 << 20, &out));
+  LIQUID_ASSERT_OK(ReadRecords(*reopened, 17, 10 << 20, &out));
   ASSERT_EQ(out.size(), 33u);
   EXPECT_EQ(out.front().offset, 17);
 }
@@ -223,7 +256,7 @@ TEST_F(LogTest, AppendWithOffsetsFollowsLeader) {
   EXPECT_EQ(follower->end_offset(), 10);
 
   std::vector<Record> out;
-  LIQUID_ASSERT_OK(follower->Read(0, 1 << 20, &out));
+  LIQUID_ASSERT_OK(ReadRecords(*follower, 0, 1 << 20, &out));
   ASSERT_EQ(out.size(), 10u);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(out[i].offset, i);
@@ -287,7 +320,7 @@ TEST_F(LogTest, TruncateDropsSuffix) {
   ASSERT_TRUE(log->Truncate(23).ok());
   EXPECT_EQ(log->end_offset(), 23);
   std::vector<Record> out;
-  LIQUID_ASSERT_OK(log->Read(0, 10 << 20, &out));
+  LIQUID_ASSERT_OK(ReadRecords(*log, 0, 10 << 20, &out));
   ASSERT_EQ(out.size(), 23u);
   EXPECT_EQ(out.back().offset, 22);
 
@@ -304,7 +337,7 @@ TEST_F(LogTest, TruncateToZeroEmptiesLog) {
   ASSERT_TRUE(log->Truncate(0).ok());
   EXPECT_EQ(log->end_offset(), 0);
   std::vector<Record> out;
-  LIQUID_ASSERT_OK(log->Read(0, 1 << 20, &out));
+  LIQUID_ASSERT_OK(ReadRecords(*log, 0, 1 << 20, &out));
   EXPECT_TRUE(out.empty());
 }
 
@@ -362,7 +395,7 @@ TEST_F(LogTest, TimeRetentionDeletesOldSegments) {
 
   // Reads below the new start offset are clamped forward.
   std::vector<Record> out;
-  ASSERT_TRUE(log->Read(0, 10 << 20, &out).ok());
+  ASSERT_TRUE(ReadRecords(*log, 0, 10 << 20, &out).ok());
   if (!out.empty()) {
     EXPECT_GE(out.front().offset, log->start_offset());
   }

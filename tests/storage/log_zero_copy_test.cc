@@ -171,8 +171,7 @@ TEST_F(LogZeroCopyTest, CacheMissFallsBackToCopyingPath) {
 
 TEST_F(LogZeroCopyTest, PinnedFetchSurvivesLaterAppendsAndEviction) {
   // Lifetime rule: the EncodedBatch's pinned buffer stays valid and
-  // immutable even after the cache extends the page (copy-on-extend) or
-  // evicts it.
+  // unchanged even after the cache extends the page or evicts it.
   PageCacheConfig config;
   config.page_size = 1024;
   config.capacity_bytes = 1024;  // One page: any growth evicts.
@@ -187,8 +186,9 @@ TEST_F(LogZeroCopyTest, PinnedFetchSurvivesLaterAppendsAndEviction) {
   ASSERT_EQ(pinned.record_count(), 4u);
   const std::string before = BatchBytes(pinned);
 
-  // Extend the same page (copy-on-extend clones under the hood) and then
-  // blow the cache past capacity so the original page is evicted.
+  // Extend the same page (in place within its capacity, else into a new
+  // buffer) and then blow the cache past capacity so the original page is
+  // evicted.
   for (int i = 0; i < 30; ++i) {
     auto more = MixedBatch(4);
     LIQUID_ASSERT_OK(log->AppendBatch(&more).status());

@@ -57,6 +57,7 @@ TEST(RecordTest, ProducerMetadataRoundTrip) {
   in.offset = 7;
   in.producer_id = 12345;
   in.sequence = 42;
+  in.transactional = true;
   std::string buf;
   EncodeRecord(in, &buf);
   Slice input(buf);
@@ -64,6 +65,7 @@ TEST(RecordTest, ProducerMetadataRoundTrip) {
   ASSERT_TRUE(DecodeRecord(&input, &out, /*verify_crc=*/true).ok());
   EXPECT_EQ(out.producer_id, 12345);
   EXPECT_EQ(out.sequence, 42);
+  EXPECT_TRUE(out.transactional);
 }
 
 TEST(RecordTest, LeaderEpochAndControlRoundTrip) {
