@@ -1,8 +1,10 @@
 #include "storage/log.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <unordered_map>
 
 #include "common/fault.h"
@@ -11,12 +13,14 @@ namespace liquid::storage {
 
 namespace {
 
-// The whole of `segment` as one batch; the scan CRC-verifies every frame.
+// The whole of `segment`, file bytes [0, size_bytes), as one batch; the
+// scan CRC-verifies every frame.
 Status ReadWholeSegment(const LogSegment& segment, EncodedBatch* out) {
   std::string bytes;
   std::vector<BatchFrame> frames;
-  LIQUID_RETURN_NOT_OK(segment.ReadEncoded(
-      segment.base_offset(), segment.size_bytes(), &bytes, &frames));
+  LIQUID_RETURN_NOT_OK(
+      segment.ReadEncoded(segment.SpanFrom(segment.base_offset()),
+                          segment.size_bytes(), &bytes, &frames));
   *out = EncodedBatch::FromParts(
       std::make_shared<const std::string>(std::move(bytes)), std::move(frames));
   return Status::OK();
@@ -45,6 +49,39 @@ Log::Log(Disk* disk, PageCache* cache, std::string name_prefix, LogConfig config
       global->GetCounter(prefix + "group_commit_sync_failures");
   producer_append_mu_acquisitions_ =
       global->GetCounter(prefix + "producer_append_mu_acquisitions");
+  read_pin_wait_us_ = global->GetHistogram(prefix + "read_pin_wait_us");
+}
+
+Log::ReadPin::ReadPin(const Log* log) : log_(log) {
+  MutexLock lock(&log_->pin_mu_);
+  ++log_->read_pins_;
+}
+
+Log::ReadPin::~ReadPin() {
+  MutexLock lock(&log_->pin_mu_);
+  if (--log_->read_pins_ == 0) log_->pin_cv_.SignalAll();
+}
+
+void Log::AwaitReadPinsLocked() {
+  std::chrono::steady_clock::time_point start;
+  {
+    MutexLock lock(&pin_mu_);
+    if (read_pins_ == 0) return;
+    start = std::chrono::steady_clock::now();
+    pin_cv_.Wait([this]() REQUIRES(pin_mu_) { return read_pins_ == 0; });
+  }
+  read_pin_wait_us_->Record(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
+void Log::RestartDurabilityAtLocked(int64_t offset) {
+  ++truncations_;
+  durable_offset_ = std::min(durable_offset_, offset);
+  sync_failed_upto_ = std::min(sync_failed_upto_, offset);
+  durable_cv_.SignalAll();
+  committer_cv_.Signal();
 }
 
 Log::~Log() {
@@ -348,21 +385,24 @@ Status Log::ReadEncoded(int64_t offset, size_t max_bytes,
   // Chaos surface: a slow or failing read (cold disk), before the shared
   // log lock is taken, so an armed delay stalls only this reader.
   LIQUID_FAULT_POINT("log.read.before");
-  ReaderMutexLock lock(&mu_);
   *out = EncodedBatch();
-  offset = std::max(offset, start_offset_);
-  if (offset >= next_offset_) return Status::OK();
-  // Find the segment containing `offset`: greatest base_offset <= offset.
-  auto it = std::upper_bound(segments_.begin(), segments_.end(), offset,
-                             [](int64_t target, const auto& seg) {
-                               return target < seg->base_offset();
-                             });
-  if (it != segments_.begin()) --it;
-  // Zero-copy fast path: when the requested bytes are resident in the page
-  // cache, the response frames reference the pinned page buffer directly —
-  // no gather copy. Partial responses are legal (callers loop on the next
-  // offset), so one pinned page's worth per call is enough.
+  // The copying gather's segments, snapshotted under the lock.
+  std::vector<std::pair<const LogSegment*, LogSegment::ReadSpan>> spans;
+  std::optional<ReadPin> pin;
   {
+    ReaderMutexLock lock(&mu_);
+    offset = std::max(offset, start_offset_);
+    if (offset >= next_offset_) return Status::OK();
+    // Find the segment containing `offset`: greatest base_offset <= offset.
+    auto it = std::upper_bound(segments_.begin(), segments_.end(), offset,
+                               [](int64_t target, const auto& seg) {
+                                 return target < seg->base_offset();
+                               });
+    if (it != segments_.begin()) --it;
+    // Zero-copy fast path: when the requested bytes are resident in the
+    // page cache, the response frames reference the pinned page buffer
+    // directly — no gather copy. Partial responses are legal (callers loop
+    // on the next offset), so one pinned page's worth per call is enough.
     Result<EncodedBatch> pinned = (*it)->ReadEncodedPinned(offset, max_bytes);
     LIQUID_RETURN_NOT_OK(pinned.status());
     if (!pinned->empty()) {
@@ -371,23 +411,39 @@ Status Log::ReadEncoded(int64_t offset, size_t max_bytes,
       *out = std::move(pinned).value();
       return Status::OK();
     }
+    // The segment holding `offset`, then the ones after it until their
+    // bytes alone could fill the budget: the gather below stops at
+    // max_bytes, and a segment yields at most its span. Usually one
+    // segment, two when the read crosses a roll.
+    spans.reserve(2);
+    spans.emplace_back(it->get(), (*it)->SpanFrom(offset));
+    for (uint64_t reach = 0; ++it != segments_.end() && reach < max_bytes;) {
+      const LogSegment::ReadSpan span = (*it)->SpanFrom(offset);
+      reach += span.end - span.pos;
+      spans.emplace_back(it->get(), span);
+    }
+    pin.emplace(this);
   }
+  // Chaos surface: a stall in the unlocked stretch, after the pin and
+  // before the file scan, so an armed delay holds up only this reader and
+  // the mutators that wait for its pin.
+  LIQUID_FAULT_POINT("log.read.copy");
   std::string bytes;
   std::vector<BatchFrame> frames;
-  while (it != segments_.end() && bytes.size() < max_bytes) {
+  for (const auto& [segment, span] : spans) {
+    if (bytes.size() >= max_bytes) break;
     const size_t before = frames.size();
-    LIQUID_RETURN_NOT_OK(
-        (*it)->ReadEncoded(offset, max_bytes - bytes.size(), &bytes, &frames));
+    LIQUID_RETURN_NOT_OK(segment->ReadEncoded(span, max_bytes - bytes.size(),
+                                              &bytes, &frames));
     // Move on only when this segment contributed nothing (compaction can
     // leave one empty of qualifying records) or was read to its end. A read
     // that stopped on the byte budget mid-segment ends the reply here: the
     // next segment would add a record past the unread rest of this one.
-    if (frames.size() > before) {
-      offset = frames.back().offset + 1;
-      if (offset < (*it)->next_offset()) break;
+    if (frames.size() > before && frames.back().offset + 1 < span.next_offset) {
+      break;
     }
-    ++it;
   }
+  pin.reset();
   fetch_copied_bytes_->Increment(static_cast<int64_t>(bytes.size()));
   // liquid-lint: allow(hot-alloc): one shared immutable buffer per fetch is the encode-once zero-copy contract (DESIGN.md); move of the gathered bytes, not a copy.
   *out = EncodedBatch::FromParts(
@@ -470,11 +526,8 @@ Status Log::Truncate(int64_t offset) {
       rewritten_from = segment->base_offset();
     }
   }
-  ++truncations_;
-  durable_offset_ = std::min(durable_offset_, rewritten_from);
-  sync_failed_upto_ = std::min(sync_failed_upto_, rewritten_from);
-  durable_cv_.SignalAll();
-  committer_cv_.Signal();
+  RestartDurabilityAtLocked(rewritten_from);
+  AwaitReadPinsLocked();
   if (offset <= start_offset_) {
     // Everything goes: drop all segments and restart at `offset`.
     for (auto& segment : segments_) LIQUID_RETURN_NOT_OK(segment->Drop());
@@ -537,6 +590,7 @@ Result<int> Log::ApplyRetention() {
       if (total > static_cast<uint64_t>(config_.retention_bytes)) expired = true;
     }
     if (!expired) break;
+    AwaitReadPinsLocked();
     LIQUID_RETURN_NOT_OK(oldest->Drop());
     segments_.erase(segments_.begin());
     start_offset_ = segments_.front()->base_offset();
@@ -591,8 +645,13 @@ Result<CompactionStats> Log::Compact() {
 
   // Phase 3: swap in cleaned segments. (Kafka swaps atomically via .cleaned /
   // .swap files; with the simulated disk we rebuild in place, which is safe
-  // because the disk outlives us and the active segment is untouched.)
+  // because the disk outlives us and the active segment is untouched.) The
+  // cleaned segment is a fresh, unsynced file, so durability restarts at
+  // its base, as after a Truncate: acks already given stay covered once the
+  // committer syncs it, and new waiters wait for that sync.
   const int64_t first_base = segments_.front()->base_offset();
+  RestartDurabilityAtLocked(first_base);
+  AwaitReadPinsLocked();
   for (size_t i = 0; i < closed; ++i) {
     LIQUID_RETURN_NOT_OK(segments_[i]->Drop());
   }

@@ -74,7 +74,9 @@ struct CompactionStats {
 /// happen after reservation) runs with no lock held, and writers then commit
 /// in reservation order under the exclusive lock. Concurrent appenders thus
 /// overlap their encoding work instead of serializing on it. Truncation,
-/// retention and compaction drain the pipeline first; reads are shared.
+/// retention and compaction drain the pipeline first, then wait for pinned
+/// readers; reads snapshot under the shared lock and copy cold bytes with
+/// none held (ReadEncoded).
 /// This pipeline is the only producer path; followers land the leader's
 /// bytes verbatim through AppendEncoded.
 class Log {
@@ -134,11 +136,15 @@ class Log {
   /// buffer: a pinned cache page when the bytes are resident (zero-copy, at
   /// most one page per call), else one copied gather. This is the log's one
   /// read path; callers that want more loop on the next offset (or use
-  /// ReadEncodedRange), and decode with EncodedBatch::DecodeAll. Each call
-  /// holds the shared log lock on its own. Requests below start_offset()
-  /// are clamped forward to it (retention may have deleted the prefix);
-  /// requests at or past end_offset() return empty. A frame that fails its
-  /// CRC is Corruption.
+  /// ReadEncodedRange), and decode with EncodedBatch::DecodeAll. The
+  /// zero-copy path runs under the shared log lock. The copying gather
+  /// only snapshots its segments' spans under it and pins the log; it
+  /// scans the segment files with no log lock held, so a cold read never
+  /// delays an append. Truncate, ApplyRetention and Compact wait for the
+  /// pin before they drop or rewrite a segment. The result is the log as
+  /// of the snapshot. Requests below start_offset() are clamped forward to
+  /// it (retention may have deleted the prefix); requests at or past
+  /// end_offset() return empty. A frame that fails its CRC is Corruption.
   LIQUID_HOT_PATH
   Status ReadEncoded(int64_t offset, size_t max_bytes, EncodedBatch* out) const;
 
@@ -166,7 +172,8 @@ class Log {
   int segment_count() const;
 
   /// Deletes all records with offset >= offset (follower reconciliation after
-  /// leader change).
+  /// leader change). Like ApplyRetention and Compact, waits for copying
+  /// reads in flight before it drops or rewrites a segment.
   Status Truncate(int64_t offset);
 
   /// Applies time/size retention using the injected clock; returns the number
@@ -194,6 +201,31 @@ class Log {
   /// resync the pipeline counters to next_offset_ when they moved it.
   void DrainAppendsLocked() REQUIRES(append_mu_);
 
+  /// The bytes below `offset` stay durable; the rest were (or are about to
+  /// be) replaced by unsynced ones. Lowers durable_offset_ and the failed
+  /// window to `offset`, discards a sync window in flight, and wakes the
+  /// committer and the durability waiters. Truncate and Compact call it.
+  void RestartDurabilityAtLocked(int64_t offset) REQUIRES(append_mu_);
+
+  /// Holds a read pin from construction (under mu_, so no mutator is
+  /// running) to destruction, across a copying read's unlocked file scan.
+  class ReadPin {
+   public:
+    explicit ReadPin(const Log* log) REQUIRES_SHARED(log->mu_);
+    ~ReadPin();
+    ReadPin(const ReadPin&) = delete;
+    ReadPin& operator=(const ReadPin&) = delete;
+
+   private:
+    const Log* const log_;
+  };
+
+  /// Blocks until no ReadPin is held. Called by every mutator that drops or
+  /// rewrites a segment, holding mu_ exclusive so no read can pin anew;
+  /// bounded by one read step. Records the wait in read_pin_wait_us only
+  /// when there was one.
+  void AwaitReadPinsLocked() REQUIRES(mu_);
+
   /// Flushes every dirty segment under the shared log lock. Appends are
   /// excluded (they commit under the exclusive lock) but reads proceed.
   /// Called only by the committer.
@@ -216,6 +248,13 @@ class Log {
   std::vector<std::unique_ptr<LogSegment>> segments_ GUARDED_BY(mu_);
   int64_t next_offset_ GUARDED_BY(mu_) = 0;
   int64_t start_offset_ GUARDED_BY(mu_) = 0;
+
+  /// Counts copying reads scanning segment files with no log lock held
+  /// (ReadPin). Below mu_: a pin is taken under mu_ shared and awaited under
+  /// mu_ exclusive, and nothing is acquired while it is held.
+  mutable Mutex pin_mu_;
+  mutable CondVar pin_cv_{&pin_mu_};
+  mutable int64_t read_pins_ GUARDED_BY(pin_mu_) = 0;
 
   /// Guards the append pipeline's reservation window. Held only for counter
   /// updates (never across encoding or I/O), so reservation is cheap even
@@ -264,6 +303,7 @@ class Log {
   Counter* group_commit_syncs_;
   Counter* group_commit_sync_failures_;
   Counter* producer_append_mu_acquisitions_;
+  Histogram* read_pin_wait_us_;
 };
 
 }  // namespace liquid::storage

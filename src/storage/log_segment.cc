@@ -214,20 +214,24 @@ Result<EncodedBatch> LogSegment::ReadEncodedPinned(int64_t from_offset,
   return EncodedBatch::FromParts(pin.bytes, std::move(frames));
 }
 
-Status LogSegment::ReadEncoded(int64_t from_offset, size_t max_bytes,
+LogSegment::ReadSpan LogSegment::SpanFrom(int64_t from_offset) const {
+  return ReadSpan{from_offset, LookupPosition(from_offset), end_pos_,
+                  next_offset_};
+}
+
+Status LogSegment::ReadEncoded(const ReadSpan& span, size_t max_bytes,
                                std::string* buf,
                                std::vector<BatchFrame>* frames) const {
-  if (from_offset >= next_offset_) return Status::OK();
-  const uint64_t pos = LookupPosition(from_offset);
-  // The gather stops once max_bytes accumulate (or the segment ends), so
-  // both outputs can be reserved up front instead of regrowing per frame.
+  if (span.from_offset >= span.next_offset) return Status::OK();
+  // The gather stops once max_bytes accumulate (or the span ends), so both
+  // outputs can be reserved up front instead of regrowing per frame.
   const size_t bound =
-      static_cast<size_t>(std::min<uint64_t>(max_bytes, end_pos_ - pos));
+      static_cast<size_t>(std::min<uint64_t>(max_bytes, span.end - span.pos));
   buf->reserve(buf->size() + bound);
   frames->reserve(frames->size() + bound / kMinFrameBytes + 1);
   size_t gathered = 0;
-  return ScanFrames(pos, end_pos_, [&](BatchFrame frame, Slice bytes) {
-    if (frame.offset < from_offset) return true;
+  return ScanFrames(span.pos, span.end, [&](BatchFrame frame, Slice bytes) {
+    if (frame.offset < span.from_offset) return true;
     if (gathered > 0 && gathered + frame.len > max_bytes) return false;
     frame.pos = buf->size();
     buf->append(bytes.data(), bytes.size());

@@ -21,8 +21,10 @@ namespace liquid::storage {
 /// file that is used to select the chunks of the log at which requested
 /// offsets are stored").
 ///
-/// Not internally synchronized: the owning Log serializes appends (exclusive)
-/// against reads (shared).
+/// Not internally synchronized. The owning Log serializes appends
+/// (exclusive) against the index and size lookups (shared); the copying
+/// read is split so that only its ReadSpan snapshot needs that lock, and
+/// its file scan runs with none (Log::ReadEncoded).
 class LogSegment {
  public:
   /// A sparse index entry every `index_interval_bytes` of appended data.
@@ -50,12 +52,30 @@ class LogSegment {
   /// gaps are legal (compaction produces them).
   Status AppendEncoded(const EncodedBatch& batch);
 
-  /// Collects the raw encoded frames of records with offset >= from_offset
-  /// into `buf` (appending) plus their framing into `frames` (positions
-  /// relative to `buf`) until `max_bytes` have been gathered, at least one
-  /// frame if any qualifies. CRCs are verified while scanning; a bad frame
-  /// is Corruption.
-  Status ReadEncoded(int64_t from_offset, size_t max_bytes, std::string* buf,
+  /// What a copying read of records with offset >= from_offset scans: file
+  /// bytes [pos, end) as committed when the span was taken, where
+  /// next_offset was one past the last record.
+  struct ReadSpan {
+    int64_t from_offset = 0;
+    uint64_t pos = 0;
+    uint64_t end = 0;
+    int64_t next_offset = 0;
+  };
+
+  /// The span of a read from `from_offset`: the indexed position at or
+  /// before it up to the committed end. Needs the owning Log's lock (the
+  /// index and the end move with appends).
+  ReadSpan SpanFrom(int64_t from_offset) const;
+
+  /// The segment's one copying read: collects the raw encoded frames in
+  /// `span` with offset >= span.from_offset into `buf` (appending) plus
+  /// their framing into `frames` (positions relative to `buf`) until
+  /// `max_bytes` have been gathered, at least one frame if any qualifies.
+  /// CRCs are verified while scanning; a bad frame is Corruption. It reads
+  /// the file only, so it needs no lock while the segment is kept from
+  /// being dropped or rewritten: bytes below span.end never change, and
+  /// appends only add past it.
+  Status ReadEncoded(const ReadSpan& span, size_t max_bytes, std::string* buf,
                      std::vector<BatchFrame>* frames) const;
 
   /// Zero-copy read: when the bytes holding `from_offset` are resident in the

@@ -19,25 +19,24 @@ void PageCache::Touch(Page* page) {
   page->lru_it = lru_.begin();
 }
 
-void PageCache::InsertPage(uint64_t key, std::string bytes, int64_t write_ms) {
+void PageCache::InsertPage(uint64_t key, std::string bytes) {
   auto it = pages_.find(key);
   if (it != pages_.end()) {
-    bytes_cached_ -= it->second.bytes->size();
-    // Replace the buffer wholesale (never mutate): outstanding pins keep the
-    // old buffer alive and see a frozen snapshot.
-    it->second.bytes = std::make_shared<std::string>(std::move(bytes));
-    if (write_ms != 0) {
-      it->second.written = true;
-      it->second.last_write_ms = std::max(it->second.last_write_ms, write_ms);
+    // The file only grows, so the resident page and these bytes are both
+    // prefixes of its page: keep the longer. A read that raced an append
+    // thus never replaces the noted bytes with its older copy.
+    if (it->second.bytes->size() < bytes.size()) {
+      bytes_cached_ -= it->second.bytes->size();
+      // Replace the buffer wholesale (never mutate): outstanding pins keep
+      // the old buffer alive and see a frozen snapshot.
+      it->second.bytes = std::make_shared<std::string>(std::move(bytes));
+      bytes_cached_ += it->second.bytes->size();
     }
-    bytes_cached_ += it->second.bytes->size();
     Touch(&it->second);
     return;
   }
   Page page;
   page.key = key;
-  page.written = write_ms != 0;
-  page.last_write_ms = write_ms;
   bytes_cached_ += bytes.size();
   page.bytes = std::make_shared<std::string>(std::move(bytes));
   lru_.push_front(key);
@@ -89,16 +88,22 @@ Status PageCache::Read(uint64_t file_id, const File& file, uint64_t offset,
 
   while (page_no <= last_page) {
     const uint64_t key = MakeKey(file_id, page_no);
+    const uint64_t page_start = page_no * page_size;
+    // The bytes of this page the read needs, all of which the file holds.
+    const size_t needed = static_cast<size_t>(
+        std::min<uint64_t>(offset + n, page_start + page_size) - page_start);
     // Holding a reference pins the buffer: NoteAppend never moves or
     // rewrites the bytes it holds, so copying them outside the lock is safe.
     // Its length is taken under the lock, since appends may extend the
-    // buffer in place.
+    // buffer in place. A page shorter than the needed bytes is a miss: a
+    // read that raced an append can leave a page behind the file (see
+    // NoteAppend).
     std::shared_ptr<const std::string> page_bytes;
     size_t page_len = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto it = pages_.find(key);
-      if (it != pages_.end()) {
+      if (it != pages_.end() && it->second.bytes->size() >= needed) {
         page_bytes = it->second.bytes;
         page_len = page_bytes->size();
         Touch(&it->second);
@@ -120,7 +125,7 @@ Status PageCache::Read(uint64_t file_id, const File& file, uint64_t offset,
         for (uint64_t i = 0; i * page_size < chunk.size(); ++i) {
           const size_t begin = i * page_size;
           const size_t len = std::min(page_size, chunk.size() - begin);
-          InsertPage(MakeKey(file_id, page_no + i), chunk.substr(begin, len), 0);
+          InsertPage(MakeKey(file_id, page_no + i), chunk.substr(begin, len));
         }
       }
       page_bytes = std::make_shared<const std::string>(
@@ -128,7 +133,6 @@ Status PageCache::Read(uint64_t file_id, const File& file, uint64_t offset,
       page_len = page_bytes->size();
     }
     // Copy the requested byte range out of this page.
-    const uint64_t page_start = page_no * page_size;
     const uint64_t want_begin = std::max<uint64_t>(offset, page_start);
     const uint64_t want_end =
         std::min<uint64_t>(offset + n, page_start + page_len);
@@ -166,6 +170,15 @@ void PageCache::NoteAppend(uint64_t file_id, uint64_t offset, const Slice& data)
 
     const uint64_t key = MakeKey(file_id, page_no);
     auto it = pages_.find(key);
+    if (it != pages_.end() && it->second.bytes->size() < in_page_off) {
+      // The page ends short of this append: a read that raced an earlier
+      // append cached the page without it. Extending it would serve zeros
+      // for the missing bytes, so drop it.
+      bytes_cached_ -= it->second.bytes->size();
+      lru_.erase(it->second.lru_it);
+      pages_.erase(it);
+      it = pages_.end();
+    }
     if (it == pages_.end() && in_page_off > 0) {
       // The page's head was evicted: a page built from the appended bytes
       // alone would serve zeros for it. Leave the page to the next miss.

@@ -103,7 +103,9 @@ class PageCache {
 
   // All require mu_ held.
   void Touch(Page* page);
-  void InsertPage(uint64_t key, std::string bytes, int64_t write_ms);
+  /// Caches a page a read miss fetched from the file, unless the resident
+  /// page is at least as long.
+  void InsertPage(uint64_t key, std::string bytes);
   void EvictIfNeeded();
 
   const PageCacheConfig config_;

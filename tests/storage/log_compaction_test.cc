@@ -229,5 +229,41 @@ TEST_F(LogCompactionTest, ReadAfterCompactionAcrossReopen) {
   for (const auto& [key, value] : view) EXPECT_EQ(value.first, "r9");
 }
 
+TEST_F(LogCompactionTest, CompactedRecordsStayDurableAcrossACrash) {
+  // Compaction rewrites the closed segments into a fresh, unsynced file.
+  // Offsets acknowledged as durable before it must become durable again
+  // before AwaitDurable says so, or a power loss right after the compaction
+  // loses acked records.
+  LogConfig config;
+  config.segment_bytes = 1024;
+  config.compaction_enabled = true;
+  config.sync_mode = SyncMode::kGroup;
+  std::set<std::string> keys;
+  {
+    auto opened = Log::Open(&disk_, nullptr, "c0/", config, &clock_);
+    LIQUID_ASSERT_OK(opened.status());
+    std::unique_ptr<Log> log = std::move(opened).value();
+    for (int i = 0; i < 60; ++i) {
+      const std::string key = "key" + std::to_string(i % 10);
+      keys.insert(key);
+      // ~180-byte frames: the active segment holds fewer than 10 keys.
+      std::vector<Record> batch{Record::KeyValue(
+          key, "v" + std::to_string(i) + std::string(120, 'x'))};
+      LIQUID_ASSERT_OK(log->AppendBatch(&batch));
+    }
+    const int64_t end = log->end_offset();
+    LIQUID_ASSERT_OK(log->AwaitDurable(end));
+    ASSERT_GT(log->segment_count(), 2);
+    LIQUID_ASSERT_OK(log->Compact());
+    LIQUID_ASSERT_OK(log->AwaitDurable(end));
+    disk_.SimulateCrash();
+  }
+  auto log = OpenCompactedLog();
+  const auto view = Materialize(log.get());
+  std::set<std::string> survived;
+  for (const auto& [key, value] : view) survived.insert(key);
+  EXPECT_EQ(survived, keys);
+}
+
 }  // namespace
 }  // namespace liquid::storage

@@ -25,7 +25,8 @@ Status ReadRecords(const LogSegment& segment, int64_t from, size_t max_bytes,
                    std::vector<Record>* out) {
   std::string buf;
   std::vector<BatchFrame> frames;
-  LIQUID_RETURN_NOT_OK(segment.ReadEncoded(from, max_bytes, &buf, &frames));
+  LIQUID_RETURN_NOT_OK(
+      segment.ReadEncoded(segment.SpanFrom(from), max_bytes, &buf, &frames));
   return EncodedBatch::FromParts(
              std::make_shared<const std::string>(std::move(buf)),
              std::move(frames))
@@ -162,7 +163,8 @@ TEST_F(LogSegmentTest, BitFlippedRecordSurfacesAsCorruptionOnRead) {
   // The frame scan itself must catch it (decoding after it does not check).
   std::string buf;
   std::vector<BatchFrame> frames;
-  const Status read = (*segment)->ReadEncoded(0, 1 << 20, &buf, &frames);
+  const Status read =
+      (*segment)->ReadEncoded((*segment)->SpanFrom(0), 1 << 20, &buf, &frames);
   EXPECT_TRUE(read.IsCorruption()) << read.ToString();
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "common/clock.h"
 
@@ -163,6 +164,36 @@ TEST_F(PageCacheTest, TruncateInvalidatesCachedPages) {
   std::string out;
   LIQUID_ASSERT_OK(file.ReadAt(0, 256, &out));
   EXPECT_EQ(out, std::string(256, 'b'));  // No stale 'a' pages.
+}
+
+TEST_F(PageCacheTest, PageLeftBehindByARacingReadIsNeverServedShortOrZeroed) {
+  // A read that misses page 0 copies the file's 64 bytes from disk; an
+  // append of 32 more lands meanwhile and its note skips the absent page
+  // (its head is not cached); the read then caches its 64-byte copy. The
+  // cache now holds a page behind the file. Reads with no log lock race
+  // appends exactly so (Log::ReadEncoded), so the page must be neither
+  // served short nor extended by the next append over a zero-filled gap.
+  PageCache cache(SmallConfig(), &clock_);
+  const std::string a(64, 'a'), b(32, 'b'), c(32, 'c');
+  for (const bool append_again : {false, true}) {
+    SCOPED_TRACE(append_again ? "next append noted" : "read at once");
+    const uint64_t id = cache.NewFileId();
+    std::unique_ptr<File> file =
+        std::move(disk_.OpenOrCreate(append_again ? "g" : "f")).value();
+    LIQUID_ASSERT_OK(file->Append(a));
+    std::string out;
+    LIQUID_ASSERT_OK(cache.Read(id, *file, 0, 64, &out));
+    LIQUID_ASSERT_OK(file->Append(b));  // Its note skipped the page.
+    if (append_again) {
+      LIQUID_ASSERT_OK(file->Append(c));
+      cache.NoteAppend(id, 96, c);
+      LIQUID_ASSERT_OK(cache.Read(id, *file, 0, 128, &out));
+      EXPECT_EQ(out, a + b + c);
+    } else {
+      LIQUID_ASSERT_OK(cache.Read(id, *file, 0, 96, &out));
+      EXPECT_EQ(out, a + b);
+    }
+  }
 }
 
 TEST_F(PageCacheTest, ReadAcrossPageBoundary) {
