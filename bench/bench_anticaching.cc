@@ -6,10 +6,13 @@
 //
 // Paper shape: tail reads orders of magnitude cheaper than cold rewinds;
 // a second sequential pass over rewound data approaches tail-read speed.
+// BM_AppendIntoFullDirtyCache measures the write side: the cost of one
+// append into a cache full of dirty pages, at two cache sizes.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 
 #include "bench_util.h"
 #include "common/clock.h"
@@ -108,6 +111,42 @@ void BM_RewindReadSequential(benchmark::State& state) {
 BENCHMARK(BM_RewindReadSequential)
     ->Unit(benchmark::kMicrosecond)
     ->Iterations(800);
+
+/// Appends into a cache that is full of dirty pages: the simulated clock
+/// stands still, so no page's flush window ever closes and every append
+/// force-evicts the least recently used page, as under a sustained produce
+/// load whose cache holds only pages younger than flush_after_ms. One
+/// iteration is one NoteAppend of one whole page; the argument is the
+/// number of resident pages. Eviction that scans the resident pages costs
+/// more per append as the cache grows; the LRU sets keep it flat.
+void BM_AppendIntoFullDirtyCache(benchmark::State& state) {
+  const auto resident_pages = static_cast<size_t>(state.range(0));
+  SimulatedClock clock(0);
+  PageCacheConfig config;
+  config.page_size = 4096;
+  config.capacity_bytes = resident_pages * config.page_size;
+  config.flush_after_ms = 1000;
+  PageCache cache(config, &clock);
+  const uint64_t file = cache.NewFileId();
+  const std::string page(config.page_size, 'x');
+  uint64_t offset = 0;
+  for (size_t i = 0; i < resident_pages; ++i) {
+    cache.NoteAppend(file, offset, page);
+    offset += page.size();
+  }
+  const int64_t forced_before = cache.forced_evictions();
+  for (auto _ : state) {
+    cache.NoteAppend(file, offset, page);
+    offset += page.size();
+  }
+  state.counters["forced_per_append"] =
+      static_cast<double>(cache.forced_evictions() - forced_before) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_AppendIntoFullDirtyCache)
+    ->Arg(2048)
+    ->Arg(16384)
+    ->Unit(benchmark::kNanosecond);
 
 /// Random access without any page cache: every read pays the disk.
 void BM_RandomReadNoCache(benchmark::State& state) {

@@ -583,6 +583,8 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
     }
   }
   std::vector<int> push_targets;
+  std::shared_ptr<PushOrder> push_order;
+  std::vector<uint64_t> push_tickets;
   int epoch = 0;
   int64_t base = -1;
   int64_t leo = 0;
@@ -680,6 +682,10 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
     for (int member : replica->isr) {
       if (member != id_) push_targets.push_back(member);
     }
+    if (!duplicate) {
+      push_order = replica->push_order;
+      push_tickets = push_order->Take(push_targets);
+    }
   }
 
   // acks=all: synchronously replicate to ISR followers (their pull loop,
@@ -687,16 +693,9 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
   // follower receives the leader's encoded bytes, not re-encoded Records.
   // A duplicate has nothing new to push.
   std::vector<int> failed;
-  failed.reserve(push_targets.size());
   if (!duplicate) {
-    for (int member : push_targets) {
-      Broker* follower = cluster_->broker(member);
-      Status st = follower == nullptr
-                      ? Status::Unavailable("no such broker")
-                      : follower->AppendEncodedAsFollower(tp, batch, epoch,
-                                                          leader_hw);
-      if (!st.ok()) failed.push_back(member);
-    }
+    failed = PushToFollowers(tp, batch, epoch, leader_hw, push_targets,
+                             push_order.get(), push_tickets);
   }
   LIQUID_RETURN_NOT_OK(AwaitIsrDurable(tp, epoch, leo, /*pushed=*/!duplicate,
                                        push_targets, std::move(failed)));
@@ -710,6 +709,51 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
   LIQUID_FAULT_POINT("broker.produce.before_ack");
   observe_append(records);
   return resp;
+}
+
+std::vector<uint64_t> Broker::PushOrder::Take(
+    const std::vector<int>& followers) {
+  std::vector<uint64_t> tickets;
+  tickets.reserve(followers.size());
+  MutexLock lock(&mu_);
+  for (int follower : followers) {
+    tickets.push_back(turns_[follower].next_ticket++);
+  }
+  return tickets;
+}
+
+void Broker::PushOrder::AwaitTurn(int follower, uint64_t ticket) {
+  MutexLock lock(&mu_);
+  // Bounded: every earlier ticket belongs to a batch already appended,
+  // whose push to this follower is in flight or next.
+  turn_cv_.Wait(
+      [&]() REQUIRES(mu_) { return turns_[follower].turn == ticket; });
+}
+
+void Broker::PushOrder::Done(int follower) {
+  MutexLock lock(&mu_);
+  ++turns_[follower].turn;
+  turn_cv_.SignalAll();
+}
+
+std::vector<int> Broker::PushToFollowers(
+    const TopicPartition& tp, const storage::EncodedBatch& batch, int epoch,
+    int64_t leader_hw, const std::vector<int>& targets, PushOrder* order,
+    const std::vector<uint64_t>& tickets) {
+  std::vector<int> failed;
+  failed.reserve(targets.size());
+  for (size_t i = 0; i < targets.size(); ++i) {
+    const int member = targets[i];
+    order->AwaitTurn(member, tickets[i]);
+    Broker* follower = cluster_->broker(member);
+    const Status st = follower == nullptr
+                          ? Status::Unavailable("no such broker")
+                          : follower->AppendEncodedAsFollower(tp, batch, epoch,
+                                                              leader_hw);
+    order->Done(member);
+    if (!st.ok()) failed.push_back(member);
+  }
+  return failed;
 }
 
 Status Broker::AwaitReplicaDurable(const TopicPartition& tp,
@@ -876,6 +920,8 @@ Status Broker::WriteTxnMarker(const TopicPartition& tp, int64_t pid,
                               bool committed) {
   storage::EncodedBatch marker;
   std::vector<int> targets;
+  std::shared_ptr<PushOrder> push_order;
+  std::vector<uint64_t> push_tickets;
   int epoch = 0;
   int64_t leo = 0;
   int64_t hw = 0;
@@ -902,6 +948,8 @@ Status Broker::WriteTxnMarker(const TopicPartition& tp, int64_t pid,
     for (int member : replica->isr) {
       if (member != id_) targets.push_back(member);
     }
+    push_order = replica->push_order;
+    push_tickets = push_order->Take(targets);
     epoch = replica->leader_epoch;
     hw = replica->high_watermark;
   }
@@ -909,15 +957,8 @@ Status Broker::WriteTxnMarker(const TopicPartition& tp, int64_t pid,
   // like any acks=all write — without holding any lock: a follower of this
   // partition may simultaneously lead another partition and push to us, and
   // broker locks must never be held across broker-to-broker calls.
-  std::vector<int> failed;
-  failed.reserve(targets.size());
-  for (int member : targets) {
-    Broker* follower = cluster_->broker(member);
-    if (follower == nullptr ||
-        !follower->AppendEncodedAsFollower(tp, marker, epoch, hw).ok()) {
-      failed.push_back(member);
-    }
-  }
+  std::vector<int> failed = PushToFollowers(tp, marker, epoch, hw, targets,
+                                            push_order.get(), push_tickets);
   return AwaitIsrDurable(tp, epoch, leo, /*pushed=*/true, targets,
                          std::move(failed));
 }

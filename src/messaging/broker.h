@@ -194,6 +194,37 @@ class Broker {
   /// different partitions of the same broker proceed fully in parallel.
   /// Non-movable (the Mutex pins it); replicas_ is a node-based map, so
   /// entries are constructed in place and never relocate.
+  /// Orders a leader's acks=all pushes to each follower by append order.
+  /// Produce and WriteTxnMarker take one ticket per push target under the
+  /// replica lock, right after their append, so tickets follow the log.
+  /// Each push then waits, holding no broker lock, until its ticket's turn
+  /// at that follower, and passes the turn on whether it succeeded or not.
+  /// Unordered, a later batch can reach a follower first; the follower
+  /// refuses the gap and the leader drops it from the ISR. Every caller
+  /// takes its tickets in the same global order, so no two pushers wait on
+  /// each other.
+  class PushOrder {
+   public:
+    /// The next ticket at each of `followers`, in the same order.
+    std::vector<uint64_t> Take(const std::vector<int>& followers)
+        EXCLUDES(mu_);
+    /// Blocks until `ticket` is the turn at `follower`.
+    void AwaitTurn(int follower, uint64_t ticket) EXCLUDES(mu_);
+    /// Passes the turn at `follower` to its next ticket.
+    void Done(int follower) EXCLUDES(mu_);
+
+   private:
+    struct Turns {
+      uint64_t next_ticket = 0;
+      uint64_t turn = 0;
+    };
+    /// A leaf lock (DESIGN.md §5a): taken under Replica::mu by Take, held
+    /// while acquiring nothing else.
+    Mutex mu_;
+    CondVar turn_cv_{&mu_};
+    std::map<int, Turns> turns_ GUARDED_BY(mu_);
+  };
+
   struct Replica {
     /// Guards everything below. Acquired after map_mu_ (held shared) and
     /// before any Log-internal lock; never held across coordination-service
@@ -222,6 +253,9 @@ class Broker {
     // Cached handle for "liquid.broker.<id>.partition.<tp>.append_records"
     // in the process-wide registry, resolved once when the log opens.
     Counter* append_records GUARDED_BY(mu) = nullptr;
+    // Shared so a push in flight outlives a replica stopped meanwhile.
+    std::shared_ptr<PushOrder> push_order GUARDED_BY(mu) =
+        std::make_shared<PushOrder>();
   };
 
   /// min(first offset over ongoing transactions, high watermark).
@@ -253,6 +287,15 @@ class Broker {
   /// with NO broker lock held: the coord write fires watches that re-enter
   /// brokers on this thread (controller election, leadership changes).
   void PublishIsr(const TopicPartition& tp, const std::vector<int>& isr);
+  /// Pushes the leader's `batch` to each of `targets`, each push in its
+  /// ticket's turn at that follower (see PushOrder), with no broker lock
+  /// held. Returns the followers whose push failed.
+  std::vector<int> PushToFollowers(const TopicPartition& tp,
+                                   const storage::EncodedBatch& batch,
+                                   int epoch, int64_t leader_hw,
+                                   const std::vector<int>& targets,
+                                   PushOrder* order,
+                                   const std::vector<uint64_t>& tickets);
   /// The one acks=all durability wait (DESIGN.md §6c), shared by fresh
   /// produces, duplicate resends and transaction markers. Waits until
   /// offsets below `end_offset` are durable on this leader; then, if the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 namespace liquid::storage {
 
@@ -9,14 +10,48 @@ PageCache::PageCache(PageCacheConfig config, Clock* clock)
     : config_(config), clock_(clock) {}
 
 uint64_t PageCache::NewFileId() {
-  std::lock_guard<std::mutex> lock(mu_);
+  MutexLock lock(&mu_);
   return next_file_id_++;
 }
 
-void PageCache::Touch(Page* page) {
-  lru_.erase(page->lru_it);
-  lru_.push_front(page->key);
-  page->lru_it = lru_.begin();
+PageCache::PageMap::iterator PageCache::AddPage(uint64_t key, Page page) {
+  page.seq = ++next_seq_;
+  LruSet& lru = LruOf(page);
+  lru.emplace_hint(lru.end(), page.seq, key);
+  return pages_.emplace(key, std::move(page)).first;
+}
+
+void PageCache::Touch(Page* page, bool dirty) {
+  // Re-keys the set's node rather than allocating a new one.
+  auto node = LruOf(*page).extract(page->seq);
+  page->dirty = dirty;
+  page->seq = node.key() = ++next_seq_;
+  LruSet& lru = LruOf(*page);
+  lru.insert(lru.end(), std::move(node));
+}
+
+PageCache::PageMap::iterator PageCache::Drop(PageMap::iterator it) {
+  LruOf(it->second).erase(it->second.seq);
+  bytes_cached_ -= it->second.bytes->size();
+  return pages_.erase(it);
+}
+
+void PageCache::ExpireWrites(int64_t now_ms) {
+  while (!writes_.empty() &&
+         now_ms - writes_.front().first >= config_.flush_after_ms) {
+    auto it = pages_.find(writes_.front().second);
+    writes_.pop_front();
+    // A page dropped, or rewritten since (a later entry expires it), stays.
+    if (it == pages_.end() || !it->second.dirty ||
+        now_ms - it->second.last_write_ms < config_.flush_after_ms) {
+      continue;
+    }
+    Page& page = it->second;
+    // Same seq, so the page keeps its place in LRU order.
+    auto node = dirty_lru_.extract(page.seq);
+    page.dirty = false;
+    clean_lru_.insert(std::move(node));
+  }
 }
 
 void PageCache::InsertPage(uint64_t key, std::string bytes) {
@@ -36,38 +71,21 @@ void PageCache::InsertPage(uint64_t key, std::string bytes) {
     return;
   }
   Page page;
-  page.key = key;
   bytes_cached_ += bytes.size();
   page.bytes = std::make_shared<std::string>(std::move(bytes));
-  lru_.push_front(key);
-  page.lru_it = lru_.begin();
-  pages_.emplace(key, std::move(page));
+  AddPage(key, std::move(page));
   EvictIfNeeded();
 }
 
 void PageCache::EvictIfNeeded() {
-  const int64_t now = clock_->NowMs();
-  // Pass 0 evicts only clean (flushed) pages, preserving the freshly written
-  // head of the log in RAM; pass 1 force-evicts dirty pages if still over
-  // capacity (the OS would block on writeback here).
-  for (int pass = 0; pass < 2 && bytes_cached_ > config_.capacity_bytes; ++pass) {
-    const bool forced = pass == 1;
-    auto it = lru_.end();
-    while (bytes_cached_ > config_.capacity_bytes && it != lru_.begin()) {
-      --it;
-      auto pit = pages_.find(*it);
-      if (pit == pages_.end()) {
-        it = lru_.erase(it);
-        continue;
-      }
-      Page& page = pit->second;
-      const bool dirty =
-          page.written && now - page.last_write_ms < config_.flush_after_ms;
-      if (dirty && !forced) continue;
-      if (dirty) ++forced_evictions_;
-      bytes_cached_ -= page.bytes->size();
-      pages_.erase(pit);
-      it = lru_.erase(it);
+  ExpireWrites(clock_->NowMs());
+  // Clean (flushed) pages go first, preserving the freshly written head of
+  // the log in RAM; dirty pages are force-evicted only if the cache is still
+  // over capacity (the OS would block on writeback here).
+  for (LruSet* lru : {&clean_lru_, &dirty_lru_}) {
+    while (bytes_cached_ > config_.capacity_bytes && !lru->empty()) {
+      if (lru == &dirty_lru_) ++forced_evictions_;
+      Drop(pages_.find(lru->begin()->second));
       ++evictions_;
     }
   }
@@ -101,7 +119,7 @@ Status PageCache::Read(uint64_t file_id, const File& file, uint64_t offset,
     std::shared_ptr<const std::string> page_bytes;
     size_t page_len = 0;
     {
-      std::lock_guard<std::mutex> lock(mu_);
+      MutexLock lock(&mu_);
       auto it = pages_.find(key);
       if (it != pages_.end() && it->second.bytes->size() >= needed) {
         page_bytes = it->second.bytes;
@@ -121,7 +139,7 @@ Status PageCache::Read(uint64_t file_id, const File& file, uint64_t offset,
       LIQUID_RETURN_NOT_OK(file.ReadAt(page_no * page_size, fetch_bytes, &chunk));
       if (chunk.empty()) break;
       {
-        std::lock_guard<std::mutex> lock(mu_);
+        MutexLock lock(&mu_);
         for (uint64_t i = 0; i * page_size < chunk.size(); ++i) {
           const size_t begin = i * page_size;
           const size_t len = std::min(page_size, chunk.size() - begin);
@@ -146,7 +164,7 @@ Status PageCache::Read(uint64_t file_id, const File& file, uint64_t offset,
 
 PageCache::PinnedPage PageCache::Pin(uint64_t file_id, uint64_t offset) {
   const uint64_t page_no = offset / config_.page_size;
-  std::lock_guard<std::mutex> lock(mu_);
+  MutexLock lock(&mu_);
   auto it = pages_.find(MakeKey(file_id, page_no));
   if (it == pages_.end()) return PinnedPage{};
   Touch(&it->second);
@@ -157,8 +175,9 @@ PageCache::PinnedPage PageCache::Pin(uint64_t file_id, uint64_t offset) {
 void PageCache::NoteAppend(uint64_t file_id, uint64_t offset, const Slice& data) {
   if (data.empty()) return;
   const size_t page_size = config_.page_size;
+  MutexLock lock(&mu_);
+  // Read under the lock, so writes_ stays in write-time order.
   const int64_t now = clock_->NowMs();
-  std::lock_guard<std::mutex> lock(mu_);
   uint64_t pos = 0;
   while (pos < data.size()) {
     const uint64_t abs = offset + pos;
@@ -174,9 +193,7 @@ void PageCache::NoteAppend(uint64_t file_id, uint64_t offset, const Slice& data)
       // The page ends short of this append: a read that raced an earlier
       // append cached the page without it. Extending it would serve zeros
       // for the missing bytes, so drop it.
-      bytes_cached_ -= it->second.bytes->size();
-      lru_.erase(it->second.lru_it);
-      pages_.erase(it);
+      Drop(it);
       it = pages_.end();
     }
     if (it == pages_.end() && in_page_off > 0) {
@@ -185,19 +202,19 @@ void PageCache::NoteAppend(uint64_t file_id, uint64_t offset, const Slice& data)
       pos += len;
       continue;
     }
+    // A dirty page written in this same millisecond already has its
+    // flush-window expiry queued.
+    bool queued = false;
     if (it == pages_.end()) {
       Page page;
-      page.key = key;
-      page.written = true;
-      page.last_write_ms = now;
-      lru_.push_front(key);
-      page.lru_it = lru_.begin();
-      it = pages_.emplace(key, std::move(page)).first;
+      page.dirty = true;
+      it = AddPage(key, std::move(page));
     } else {
-      it->second.written = true;
-      it->second.last_write_ms = now;
-      Touch(&it->second);
+      queued = it->second.dirty && it->second.last_write_ms == now;
+      Touch(&it->second, /*dirty=*/true);
     }
+    it->second.last_write_ms = now;
+    if (!queued) writes_.emplace_back(now, key);
     Page& page = it->second;
     if (!page.bytes || page.bytes->capacity() < in_page_off + len ||
         page.bytes->size() > in_page_off) {
@@ -226,38 +243,37 @@ void PageCache::NoteAppend(uint64_t file_id, uint64_t offset, const Slice& data)
 
 void PageCache::Invalidate(uint64_t file_id, uint64_t from_offset) {
   const uint64_t first_page = from_offset / config_.page_size;
-  std::lock_guard<std::mutex> lock(mu_);
+  MutexLock lock(&mu_);
   for (auto it = pages_.begin(); it != pages_.end();) {
     const uint64_t fid = it->first >> 40;
     const uint64_t page_no = it->first & ((1ull << 40) - 1);
-    if (fid == file_id && page_no >= first_page) {
-      bytes_cached_ -= it->second.bytes->size();
-      lru_.erase(it->second.lru_it);
-      it = pages_.erase(it);
-    } else {
-      ++it;
-    }
+    it = fid == file_id && page_no >= first_page ? Drop(it) : std::next(it);
   }
 }
 
+bool PageCache::Resident(uint64_t file_id, uint64_t offset) const {
+  MutexLock lock(&mu_);
+  return pages_.count(MakeKey(file_id, offset / config_.page_size)) > 0;
+}
+
 int64_t PageCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  MutexLock lock(&mu_);
   return hits_;
 }
 int64_t PageCache::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  MutexLock lock(&mu_);
   return misses_;
 }
 int64_t PageCache::evictions() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  MutexLock lock(&mu_);
   return evictions_;
 }
 int64_t PageCache::forced_evictions() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  MutexLock lock(&mu_);
   return forced_evictions_;
 }
 size_t PageCache::bytes_cached() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  MutexLock lock(&mu_);
   return bytes_cached_;
 }
 

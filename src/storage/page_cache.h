@@ -2,15 +2,17 @@
 #define LIQUID_STORAGE_PAGE_CACHE_H_
 
 #include <cstdint>
-#include <list>
+#include <deque>
+#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "common/clock.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "storage/disk.h"
 
 namespace liquid::storage {
@@ -35,6 +37,14 @@ struct PageCacheConfig {
 ///
 /// Pages are identified by (file_id, page_number); files obtain ids from
 /// NewFileId(). Use CachedFile to wrap a File with transparent caching.
+///
+/// Eviction is least-recently-used in two passes: clean pages first, then,
+/// only if still over capacity, dirty ones (written less than
+/// flush_after_ms ago), which counts as a forced eviction. Each pass takes
+/// the front of its own LRU set, so no operation scans the resident pages:
+/// a touch, an insert or an eviction costs O(log n), and a page's dirty
+/// window expires off a FIFO of write times in amortized O(log n). The
+/// clock must not go backwards.
 class PageCache {
  public:
   /// A refcounted view of one cache-resident page, for zero-copy reads. The
@@ -78,6 +88,10 @@ class PageCache {
   /// the whole file (from_offset == 0).
   void Invalidate(uint64_t file_id, uint64_t from_offset = 0);
 
+  /// Whether the page holding byte `offset` of `file_id` is resident. An
+  /// inspection only: it neither touches the page nor counts a hit or miss.
+  bool Resident(uint64_t file_id, uint64_t offset) const;
+
   int64_t hits() const;
   int64_t misses() const;
   int64_t evictions() const;
@@ -86,40 +100,65 @@ class PageCache {
   size_t bytes_cached() const;
 
  private:
+  /// An LRU set: touch sequence number -> page key, least recent first.
+  using LruSet = std::map<uint64_t, uint64_t>;
+
   struct Page {
     /// Shared so Pin() can hand out refcounted views. NoteAppend extends the
     /// buffer in place only within its capacity and past its current end;
     /// otherwise it builds a new buffer, so bytes a pin holds never change.
     std::shared_ptr<std::string> bytes;
-    bool written = false;       // Populated by the append path (vs a read).
-    int64_t last_write_ms = 0;  // Meaningful only when written.
-    uint64_t key = 0;
-    std::list<uint64_t>::iterator lru_it;
+    int64_t last_write_ms = 0;  // Of the last append; meaningful once written.
+    /// Position in LRU order: a higher seq was touched more recently.
+    uint64_t seq = 0;
+    /// Which LRU set holds the page: dirty_lru_ while it is written and
+    /// its flush window is open, clean_lru_ otherwise.
+    bool dirty = false;
   };
+  using PageMap = std::unordered_map<uint64_t, Page>;
 
   static uint64_t MakeKey(uint64_t file_id, uint64_t page_no) {
     return (file_id << 40) | page_no;
   }
 
-  // All require mu_ held.
-  void Touch(Page* page);
+  LruSet& LruOf(const Page& page) REQUIRES(mu_) {
+    return page.dirty ? dirty_lru_ : clean_lru_;
+  }
+  /// Adds a new page (absent from pages_) as the most recently used.
+  PageMap::iterator AddPage(uint64_t key, Page page) REQUIRES(mu_);
+  /// Makes `page` the most recently used; `dirty` selects its set.
+  void Touch(Page* page, bool dirty) REQUIRES(mu_);
+  void Touch(Page* page) REQUIRES(mu_) { Touch(page, page->dirty); }
+  /// Drops a resident page from the map, its LRU set and the byte count.
+  PageMap::iterator Drop(PageMap::iterator it) REQUIRES(mu_);
+  /// Moves pages whose flush window closed by `now_ms` to the clean set,
+  /// keeping their place in LRU order.
+  void ExpireWrites(int64_t now_ms) REQUIRES(mu_);
   /// Caches a page a read miss fetched from the file, unless the resident
   /// page is at least as long.
-  void InsertPage(uint64_t key, std::string bytes);
-  void EvictIfNeeded();
+  void InsertPage(uint64_t key, std::string bytes) REQUIRES(mu_);
+  void EvictIfNeeded() REQUIRES(mu_);
 
   const PageCacheConfig config_;
-  Clock* clock_;
+  Clock* const clock_;
 
-  mutable std::mutex mu_;
-  std::unordered_map<uint64_t, Page> pages_;
-  std::list<uint64_t> lru_;  // Front = most recently used.
-  size_t bytes_cached_ = 0;
-  uint64_t next_file_id_ = 1;
-  int64_t hits_ = 0;
-  int64_t misses_ = 0;
-  int64_t evictions_ = 0;
-  int64_t forced_evictions_ = 0;
+  /// A leaf lock (DESIGN.md §5a): appends take it under Log::mu_, reads
+  /// under it or with no log lock; held while acquiring nothing else.
+  mutable Mutex mu_;
+  PageMap pages_ GUARDED_BY(mu_);
+  LruSet clean_lru_ GUARDED_BY(mu_);
+  LruSet dirty_lru_ GUARDED_BY(mu_);
+  /// (write time, page key) per page write, oldest first: the dirty pages'
+  /// flush windows close in this order. Entries of pages rewritten or
+  /// dropped since are skipped when they expire.
+  std::deque<std::pair<int64_t, uint64_t>> writes_ GUARDED_BY(mu_);
+  uint64_t next_seq_ GUARDED_BY(mu_) = 0;
+  size_t bytes_cached_ GUARDED_BY(mu_) = 0;
+  uint64_t next_file_id_ GUARDED_BY(mu_) = 1;
+  int64_t hits_ GUARDED_BY(mu_) = 0;
+  int64_t misses_ GUARDED_BY(mu_) = 0;
+  int64_t evictions_ GUARDED_BY(mu_) = 0;
+  int64_t forced_evictions_ GUARDED_BY(mu_) = 0;
 };
 
 /// File decorator routing reads through a PageCache and populating it on

@@ -257,14 +257,17 @@ TEST_F(FailoverTest, AckedPrefixSurvivesRestartUnderFsyncFault) {
   fsync_fault.fail_code = StatusCode::kIOError;
   FaultRegistry::Default()->Arm("log.sync.before", fsync_fault);
   EXPECT_EQ(Produce(tp, 5, AckMode::kAll), 0);
-  FaultRegistry::Default()->Clear();
 
   // Power-cycle every replica, dropping unsynced writes like a real crash.
+  // The fault stays armed until every replica is down: a committer retry
+  // of a sync requested during the fault could otherwise still make the
+  // refused records durable before the crash.
   auto state = cluster_->GetPartitionState(tp);
   for (int replica : state->replicas) {
     LIQUID_ASSERT_OK(cluster_->StopBroker(replica));
     cluster_->disk(replica)->SimulateCrash();
   }
+  FaultRegistry::Default()->Clear();
   for (int replica : state->replicas) {
     LIQUID_ASSERT_OK(cluster_->RestartBroker(replica));
   }

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <thread>
 
 #include "common/clock.h"
+#include "common/fault.h"
 #include "messaging/broker.h"
 #include "messaging/cluster.h"
 #include "messaging/producer.h"
@@ -181,6 +184,48 @@ TEST_F(ReplicationTest, ToleratesNMinus1FailuresWithAcksAll) {
   auto fetch = (*leader)->Fetch(tp, 0, 1 << 20, -1);
   ASSERT_TRUE(fetch.ok());
   EXPECT_EQ(Decoded(*fetch).size(), 3u);
+}
+
+TEST_F(ReplicationTest, ConcurrentAcksAllPushesReachFollowersInAppendOrder) {
+  // Two acks=all producers on one partition. The first batch's push to its
+  // first follower is held up; the second batch, appended after it, must
+  // not overtake it at either follower, or the follower refuses the gap
+  // (OutOfRange) and the leader drops it from the ISR.
+  CreateTopic("t", 3, /*min_insync=*/2);
+  const TopicPartition tp{"t", 0};
+  auto leader = cluster_->LeaderFor(tp);
+  LIQUID_ASSERT_OK(leader.status());
+  const std::string site = "broker.replicate.before_append";
+  FaultSiteConfig delay;
+  delay.kind = FaultActionKind::kDelay;
+  delay.delay_us = 300'000;
+  delay.max_triggers = 1;
+  FaultRegistry::Default()->Arm(site, delay);
+
+  Status first = Status::OK();
+  std::atomic<bool> first_done{false};
+  std::thread slow([&] {
+    std::vector<storage::Record> batch{storage::Record::KeyValue("k", "1")};
+    first = (*leader)->Produce(tp, batch, AckMode::kAll).status();
+    first_done.store(true);
+  });
+  // The first batch is appended and its push is in the delay.
+  while (FaultRegistry::Default()->triggers(site) == 0 && !first_done.load()) {
+    std::this_thread::yield();
+  }
+  std::vector<storage::Record> batch{storage::Record::KeyValue("k", "2")};
+  const Status second = (*leader)->Produce(tp, batch, AckMode::kAll).status();
+  slow.join();
+  FaultRegistry::Default()->Clear();
+
+  LIQUID_EXPECT_OK(first);
+  LIQUID_EXPECT_OK(second);
+  auto state = cluster_->GetPartitionState(tp);
+  EXPECT_EQ(state->isr.size(), 3u);
+  EXPECT_EQ((*leader)->metrics()->GetCounter("isr.shrinks")->value(), 0);
+  for (int replica : state->replicas) {
+    EXPECT_EQ(*cluster_->broker(replica)->LogEndOffset(tp), 2) << replica;
+  }
 }
 
 TEST_F(ReplicationTest, FollowerRejectsStaleEpochPush) {

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/clock.h"
+#include "common/random.h"
 
 #include "test_util.h"
 
@@ -231,6 +236,273 @@ TEST_F(PageCacheTest, MultipleFilesDoNotCollide) {
   EXPECT_EQ(out, std::string(128, 'A'));
   LIQUID_ASSERT_OK(b.ReadAt(0, 128, &out));
   EXPECT_EQ(out, std::string(128, 'B'));
+}
+
+/// The eviction policy as a linear two-pass scan over one LRU list, the
+/// reference the differential test holds PageCache to. It keeps page
+/// lengths only, and mirrors PageCache's bookkeeping for every operation:
+/// pass 0 walks from the least recently used end evicting clean pages, and
+/// pass 1, only if still over capacity, evicts what is left (all dirty).
+class ReferenceCache {
+ public:
+  ReferenceCache(PageCacheConfig config, const Clock* clock)
+      : config_(config), clock_(clock) {}
+
+  void NoteAppend(uint64_t file_id, uint64_t offset, size_t n) {
+    const size_t ps = config_.page_size;
+    const int64_t now = clock_->NowMs();
+    for (uint64_t pos = 0; pos < n;) {
+      const uint64_t abs = offset + pos;
+      const uint64_t page_no = abs / ps;
+      const size_t in_page = static_cast<size_t>(abs - page_no * ps);
+      const size_t len = std::min<size_t>(ps - in_page, n - pos);
+      pos += len;
+      const uint64_t key = Key(file_id, page_no);
+      auto it = pages_.find(key);
+      if (it != pages_.end() && it->second.size < in_page) {
+        Drop(it);
+        it = pages_.end();
+      }
+      if (it == pages_.end() && in_page > 0) continue;
+      if (it == pages_.end()) {
+        lru_.push_front(key);
+        it = pages_.emplace(key, Page{0, false, 0, lru_.begin()}).first;
+      } else {
+        Touch(&it->second);
+      }
+      it->second.written = true;
+      it->second.last_write_ms = now;
+      if (it->second.size < in_page + len) {
+        bytes_ += in_page + len - it->second.size;
+        it->second.size = in_page + len;
+      }
+    }
+    Evict();
+  }
+
+  void Read(uint64_t file_id, uint64_t file_size, uint64_t offset, size_t n) {
+    if (n == 0 || offset >= file_size) return;
+    n = std::min<uint64_t>(n, file_size - offset);
+    const size_t ps = config_.page_size;
+    for (uint64_t page_no = offset / ps; page_no <= (offset + n - 1) / ps;
+         ++page_no) {
+      const uint64_t page_start = page_no * ps;
+      const size_t needed = static_cast<size_t>(
+          std::min<uint64_t>(offset + n, page_start + ps) - page_start);
+      auto it = pages_.find(Key(file_id, page_no));
+      size_t page_len = 0;
+      if (it != pages_.end() && it->second.size >= needed) {
+        page_len = it->second.size;
+        Touch(&it->second);
+        ++hits_;
+      } else {
+        ++misses_;
+        const uint64_t chunk = std::min<uint64_t>(
+            static_cast<uint64_t>(std::max(1, config_.readahead_pages)) * ps,
+            file_size - page_start);
+        for (uint64_t i = 0; i * ps < chunk; ++i) {
+          Insert(Key(file_id, page_no + i),
+                 static_cast<size_t>(std::min<uint64_t>(ps, chunk - i * ps)));
+        }
+        page_len = static_cast<size_t>(std::min<uint64_t>(ps, chunk));
+      }
+      if (std::max<uint64_t>(offset, page_start) >=
+          std::min<uint64_t>(offset + n, page_start + page_len)) {
+        break;
+      }
+    }
+  }
+
+  void Pin(uint64_t file_id, uint64_t offset) {
+    auto it = pages_.find(Key(file_id, offset / config_.page_size));
+    if (it == pages_.end()) return;
+    Touch(&it->second);
+    ++hits_;
+  }
+
+  void Invalidate(uint64_t file_id, uint64_t from_offset) {
+    const uint64_t first = from_offset / config_.page_size;
+    for (auto it = pages_.begin(); it != pages_.end();) {
+      const bool drop = (it->first >> 40) == file_id &&
+                        (it->first & ((1ull << 40) - 1)) >= first;
+      it = drop ? Drop(it) : std::next(it);
+    }
+  }
+
+  bool Resident(uint64_t file_id, uint64_t offset) const {
+    return pages_.count(Key(file_id, offset / config_.page_size)) > 0;
+  }
+
+  int64_t hits() const { return hits_; }
+  int64_t misses() const { return misses_; }
+  int64_t evictions() const { return evictions_; }
+  int64_t forced_evictions() const { return forced_; }
+  size_t bytes_cached() const { return bytes_; }
+
+ private:
+  struct Page {
+    size_t size;
+    bool written;
+    int64_t last_write_ms;
+    std::list<uint64_t>::iterator lru_it;
+  };
+  using Pages = std::map<uint64_t, Page>;
+
+  static uint64_t Key(uint64_t file_id, uint64_t page_no) {
+    return (file_id << 40) | page_no;
+  }
+
+  void Touch(Page* page) {
+    lru_.splice(lru_.begin(), lru_, page->lru_it);
+  }
+
+  Pages::iterator Drop(Pages::iterator it) {
+    bytes_ -= it->second.size;
+    lru_.erase(it->second.lru_it);
+    return pages_.erase(it);
+  }
+
+  void Insert(uint64_t key, size_t size) {
+    auto it = pages_.find(key);
+    if (it != pages_.end()) {
+      if (it->second.size < size) {
+        bytes_ += size - it->second.size;
+        it->second.size = size;
+      }
+      Touch(&it->second);
+      return;
+    }
+    lru_.push_front(key);
+    pages_.emplace(key, Page{size, false, 0, lru_.begin()});
+    bytes_ += size;
+    Evict();
+  }
+
+  void Evict() {
+    const int64_t now = clock_->NowMs();
+    for (int pass = 0; pass < 2 && bytes_ > config_.capacity_bytes; ++pass) {
+      auto it = lru_.end();
+      while (bytes_ > config_.capacity_bytes && it != lru_.begin()) {
+        --it;
+        auto pit = pages_.find(*it);
+        const Page& page = pit->second;
+        const bool dirty =
+            page.written && now - page.last_write_ms < config_.flush_after_ms;
+        if (dirty && pass == 0) continue;
+        if (dirty) ++forced_;
+        ++evictions_;
+        it = std::next(it);  // Drop erases the node `it` pointed at.
+        Drop(pit);
+      }
+    }
+  }
+
+  const PageCacheConfig config_;
+  const Clock* const clock_;
+  Pages pages_;
+  std::list<uint64_t> lru_;  // Front = most recently used.
+  size_t bytes_ = 0;
+  int64_t hits_ = 0;
+  int64_t misses_ = 0;
+  int64_t evictions_ = 0;
+  int64_t forced_ = 0;
+};
+
+TEST_F(PageCacheTest, EvictionMatchesTheLinearTwoPassScan) {
+  // A seeded random mix of appends, reads, pins, truncations and clock
+  // advances over several files and a cache of 12 small pages. After every
+  // operation the resident page set and all four counters must equal the
+  // reference scan's; reads must return the file's bytes.
+  PageCacheConfig config;
+  config.page_size = 64;
+  config.capacity_bytes = 12 * 64;
+  config.flush_after_ms = 40;
+  config.readahead_pages = 3;
+  constexpr int kFiles = 3;
+  constexpr int kOps = 4000;
+  for (const uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SimulatedClock clock(0);
+    MemDisk disk;
+    PageCache cache(config, &clock);
+    ReferenceCache model(config, &clock);
+    struct TestFile {
+      uint64_t id;
+      std::unique_ptr<File> file;
+      std::string bytes;  // What the file holds.
+      uint64_t pages_seen = 0;
+    };
+    std::vector<TestFile> files;
+    for (int f = 0; f < kFiles; ++f) {
+      files.push_back(
+          TestFile{cache.NewFileId(),
+                   std::move(disk.OpenOrCreate(std::to_string(seed) + "/" +
+                                               std::to_string(f)))
+                       .value(),
+                   "", 0});
+    }
+    Random rng(seed);
+    for (int op = 0; op < kOps; ++op) {
+      TestFile& f = files[rng.Uniform(kFiles)];
+      const uint64_t size = f.bytes.size();
+      const uint64_t kind = rng.Uniform(100);
+      std::string out;
+      if (kind < 40) {
+        // Append; one in ten skips the note, as a write the cache missed.
+        const std::string data = rng.Bytes(1 + rng.Uniform(150));
+        LIQUID_ASSERT_OK(f.file->Append(data));
+        f.bytes += data;
+        if (rng.Uniform(10) != 0) {
+          cache.NoteAppend(f.id, size, data);
+          model.NoteAppend(f.id, size, data.size());
+        }
+      } else if (kind < 70) {
+        if (size == 0) continue;
+        const uint64_t offset = rng.Uniform(size);
+        const size_t n = 1 + rng.Uniform(200);
+        LIQUID_ASSERT_OK(cache.Read(f.id, *f.file, offset, n, &out));
+        model.Read(f.id, size, offset, n);
+        ASSERT_EQ(out, f.bytes.substr(offset, n)) << "op " << op;
+      } else if (kind < 82) {
+        if (size == 0) continue;
+        const uint64_t offset = rng.Uniform(size);
+        const PageCache::PinnedPage pin = cache.Pin(f.id, offset);
+        model.Pin(f.id, offset);
+        // A pinned page may end short of `offset` (an unnoted append);
+        // the bytes it does hold are the file's.
+        const size_t at = static_cast<size_t>(offset - pin.file_offset);
+        if (pin && at < pin.bytes->size()) {
+          ASSERT_EQ((*pin.bytes)[at], f.bytes[offset]) << "op " << op;
+        }
+      } else if (kind < 87) {
+        const uint64_t to = size == 0 ? 0 : rng.Uniform(size + 1);
+        LIQUID_ASSERT_OK(f.file->Truncate(to));
+        f.bytes.resize(to);
+        cache.Invalidate(f.id, to);
+        model.Invalidate(f.id, to);
+      } else {
+        clock.AdvanceMs(static_cast<int64_t>(rng.Uniform(25)));
+      }
+      f.pages_seen = std::max<uint64_t>(
+          f.pages_seen, f.bytes.size() / config.page_size + 1);
+      for (const TestFile& g : files) {
+        for (uint64_t p = 0; p < g.pages_seen; ++p) {
+          ASSERT_EQ(cache.Resident(g.id, p * config.page_size),
+                    model.Resident(g.id, p * config.page_size))
+              << "op " << op << " file " << g.id << " page " << p;
+        }
+      }
+      ASSERT_EQ(cache.bytes_cached(), model.bytes_cached()) << "op " << op;
+      ASSERT_EQ(cache.hits(), model.hits()) << "op " << op;
+      ASSERT_EQ(cache.misses(), model.misses()) << "op " << op;
+      ASSERT_EQ(cache.evictions(), model.evictions()) << "op " << op;
+      ASSERT_EQ(cache.forced_evictions(), model.forced_evictions())
+          << "op " << op;
+    }
+    // The mix exercised both passes.
+    EXPECT_GT(model.evictions(), model.forced_evictions());
+    EXPECT_GT(model.forced_evictions(), 0);
+  }
 }
 
 }  // namespace
