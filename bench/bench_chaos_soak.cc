@@ -9,7 +9,9 @@
 //   * every acknowledged record is fetchable after recovery,
 //   * per-key order is preserved (one producer, hash partitioning),
 //   * the idempotent producer never creates duplicates across retries,
-//   * consumer groups resume from committed offsets and catch back up.
+//   * consumer groups resume from committed offsets and catch back up,
+//   * below the leader's high watermark, every replica holds the leader's
+//     frames byte for byte.
 //
 // Exit status is the verdict: 0 when every invariant held, 1 otherwise —
 // the check.sh chaos-smoke leg runs `--quick` and also asserts that
@@ -42,7 +44,9 @@
 #include "messaging/offset_manager.h"
 #include "messaging/producer.h"
 #include "storage/disk.h"
+#include "storage/log.h"
 #include "storage/record.h"
+#include "storage/record_batch.h"
 #include "workload/generators.h"
 
 namespace liquid::messaging {
@@ -109,6 +113,9 @@ struct SoakReport {
   int64_t order_violations = 0;
   int64_t consumer_redeliveries = 0;
   int64_t acked_not_consumed = 0;
+  // Offsets below min(replica log end, leader HW) where a replica's frame
+  // is missing or differs from the leader's.
+  int64_t replica_divergence = 0;
   int64_t kills = 0;
   int64_t isr_cycles = 0;  // Whole-replica-set power-cycles.
   int64_t send_giveups = 0;
@@ -316,7 +323,8 @@ class ChaosSoak {
     report_.ok = report_.acked_records > 0 && report_.lost_acked == 0 &&
                  report_.duplicate_records == 0 &&
                  report_.order_violations == 0 &&
-                 report_.acked_not_consumed == 0 && report_.consumers_caught_up;
+                 report_.acked_not_consumed == 0 &&
+                 report_.replica_divergence == 0 && report_.consumers_caught_up;
     return report_;
   }
 
@@ -366,14 +374,16 @@ class ChaosSoak {
     }
   }
 
-  // Full scan of both partitions: per-key order, duplicates, and acked ⊆
-  // fetched ("unacknowledged, not absent" is fine — the reverse is not).
+  // Full scan of both partitions: per-key order, duplicates, acked ⊆
+  // fetched ("unacknowledged, not absent" is fine — the reverse is not),
+  // and every replica against the leader.
   void AuditLogs(Cluster* cluster) {
     std::map<std::string, std::vector<int64_t>> fetched;
     for (int p = 0; p < kPartitions; ++p) {
       const TopicPartition tp{"t", p};
       auto leader = cluster->LeaderFor(tp);
       if (!leader.ok()) continue;
+      AuditReplicas(cluster, tp, *leader);
       int64_t cursor = 0;
       while (true) {
         auto fetch = (*leader)->Fetch(tp, cursor, 1 << 20, -1);
@@ -416,6 +426,69 @@ class ChaosSoak {
         }
       }
     }
+  }
+
+  // Below min(its log end, the leader's high watermark) a replica must hold
+  // exactly the leader's frames: followers land the leader's bytes verbatim,
+  // and KIP-101 truncation removes any suffix a deposed leader left behind.
+  void AuditReplicas(Cluster* cluster, const TopicPartition& tp,
+                     Broker* leader) {
+    auto state = cluster->GetPartitionState(tp);
+    auto hw = leader->HighWatermark(tp);
+    if (!state.ok() || !hw.ok()) return;
+    const std::map<int64_t, std::string> expected =
+        FramesBelow(cluster, leader->id(), tp, *hw);
+    for (int id : state->replicas) {
+      if (id == leader->id()) continue;
+      auto end = cluster->broker(id)->LogEndOffset(tp);
+      if (!end.ok()) continue;
+      const int64_t bound = std::min(*end, *hw);
+      const std::map<int64_t, std::string> held =
+          FramesBelow(cluster, id, tp, bound);
+      for (const auto& [offset, bytes] : expected) {
+        if (offset >= bound) break;
+        auto it = held.find(offset);
+        if (it == held.end() || it->second != bytes) {
+          ++report_.replica_divergence;
+          if (options_.verbose) {
+            std::fprintf(stderr, "replica %d diverges on %s at offset %lld\n",
+                         id, tp.ToString().c_str(),
+                         static_cast<long long>(offset));
+          }
+        }
+      }
+      for (const auto& [offset, bytes] : held) {
+        if (expected.count(offset) == 0) ++report_.replica_divergence;
+      }
+    }
+  }
+
+  // The frames of broker `id`'s copy of `tp` below `bound`, offset -> bytes.
+  // A follower serves no fetches, so the copy is read off the broker's disk
+  // (its log lives under "<topic>-<partition>/"); nothing writes to it once
+  // final recovery has run.
+  std::map<int64_t, std::string> FramesBelow(Cluster* cluster, int id,
+                                             const TopicPartition& tp,
+                                             int64_t bound) {
+    std::map<int64_t, std::string> frames;
+    auto log = storage::Log::Open(cluster->disk(id), /*cache=*/nullptr,
+                                  tp.ToString() + "/", storage::LogConfig{},
+                                  &clock_);
+    LIQUID_CHECK_OK(log.status());
+    int64_t cursor = (*log)->start_offset();
+    storage::EncodedBatch batch;
+    while (cursor < bound) {
+      LIQUID_CHECK_OK((*log)->ReadEncoded(cursor, 1 << 20, &batch));
+      if (batch.empty()) break;
+      for (const storage::BatchFrame& frame : batch.frames()) {
+        if (frame.offset >= bound) break;
+        frames.emplace(frame.offset,
+                       std::string(batch.buffer()->data() + frame.pos,
+                                   frame.len));
+      }
+      cursor = batch.last_offset() + 1;
+    }
+    return frames;
   }
 
   // The group must resume from its committed offsets and drain to the end of
@@ -498,6 +571,7 @@ int Run(const SoakOptions& options) {
   table.AddRow(
       {"consumer_redeliveries", std::to_string(report.consumer_redeliveries)});
   table.AddRow({"acked_not_consumed", std::to_string(report.acked_not_consumed)});
+  table.AddRow({"replica_divergence", std::to_string(report.replica_divergence)});
   table.AddRow({"kills", std::to_string(report.kills)});
   table.AddRow({"isr_cycles", std::to_string(report.isr_cycles)});
   table.AddRow({"send_giveups", std::to_string(report.send_giveups)});
@@ -522,6 +596,7 @@ int Run(const SoakOptions& options) {
         << ", \"order_violations\": " << report.order_violations
         << ", \"consumer_redeliveries\": " << report.consumer_redeliveries
         << ", \"acked_not_consumed\": " << report.acked_not_consumed
+        << ", \"replica_divergence\": " << report.replica_divergence
         << ", \"kills\": " << report.kills
         << ", \"isr_cycles\": " << report.isr_cycles
         << ", \"leader_failover_ms\": " << Fmt(report.leader_failover_ms, 3)

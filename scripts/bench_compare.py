@@ -74,6 +74,7 @@ DIRECTION_OVERRIDES = {
     "order_violations": False,
     "consumer_redeliveries": False,
     "acked_not_consumed": False,
+    "replica_divergence": False,
     "kills": True,
 }
 

@@ -847,47 +847,51 @@ Status Broker::AppendEncodedAsFollower(const TopicPartition& tp,
   ReaderMutexLock map_lock(&map_mu_);
   LIQUID_ASSIGN_OR_RETURN(Replica * replica, FindReplicaShared(tp));
   MutexLock lock(&replica->mu);
+  return AppendFromLeaderLocked(tp, replica, leader_epoch, batch.base_offset(),
+                                {&batch, 1}, leader_hw);
+}
+
+Status Broker::AppendFromLeaderLocked(
+    const TopicPartition& tp, Replica* replica, int leader_epoch, int64_t from,
+    std::span<const storage::EncodedBatch> batches, int64_t leader_hw) {
   if (leader_epoch < replica->leader_epoch) {
-    return Status::FailedPrecondition("push from stale leader epoch");
+    return Status::FailedPrecondition("leader bytes from a stale epoch");
   }
   replica->leader_epoch = leader_epoch;
-  if (!batch.empty()) {
+  for (const storage::EncodedBatch& batch : batches) {
     const int64_t local_end = replica->log->end_offset();
-    if (batch.base_offset() > local_end) {
-      // We missed earlier data (e.g. we were out of the ISR); signal the
-      // leader so it shrinks the ISR; the pull path will catch us up.
-      return Status::OutOfRange("follower behind leader push");
-    }
-    // Drop frames we already store — a frame-metadata slice of the shared
-    // buffer, not a copy — then land the leader's bytes verbatim.
+    // Drop frames we already store (a push raced a pull, or a resend) — a
+    // frame-metadata slice of the shared buffer, not a copy.
     storage::EncodedBatch fresh = batch;
     fresh.SliceFrom(local_end);
-    if (!fresh.empty()) {
-      const int64_t t0 = clock_->NowUs();
-      LIQUID_RETURN_NOT_OK(replica->log->AppendEncoded(fresh));
-      for (const auto& frame : fresh.frames()) {
-        NoteEpochLocked(replica, frame.leader_epoch, frame.offset);
-      }
-      replicated_records_->Increment(
-          static_cast<int64_t>(fresh.record_count()));
-      replica->append_records->Increment(
-          static_cast<int64_t>(fresh.record_count()));
-      TraceCollector* tracer = TraceCollector::Default();
-      if (tracer->enabled()) {
-        // Only traced frames are decoded (to read their trace context); the
-        // untraced common case touches no payload bytes at all.
-        const int64_t now_us = clock_->NowUs();
-        for (size_t i = 0; i < fresh.frames().size(); ++i) {
-          if (!fresh.frames()[i].traced) continue;
-          auto record = fresh.DecodeFrame(i);
-          if (!record.ok()) continue;
-          // liquid-lint: allow(hot-alloc): span annotation built only for sampled traced frames with tracing enabled; the untraced common case skips this block.
-          tracer->Record(Span{record->trace_id, tracer->NewSpanId(),
-                              record->span_id, t0, now_us, "replicate",
-                              tp.ToString() + " follower=" +
-                                  std::to_string(id_)});
-        }
-      }
+    if (fresh.empty()) continue;
+    if (from > local_end) {
+      // We missed leader records (e.g. we were out of the ISR). A refused
+      // push makes the leader shrink the ISR; the next pull, from our end,
+      // catches us up.
+      return Status::OutOfRange("follower behind leader bytes");
+    }
+    const int64_t t0 = clock_->NowUs();
+    LIQUID_RETURN_NOT_OK(replica->log->AppendEncoded(fresh));
+    for (const auto& frame : fresh.frames()) {
+      NoteEpochLocked(replica, frame.leader_epoch, frame.offset);
+    }
+    replicated_records_->Increment(static_cast<int64_t>(fresh.record_count()));
+    replica->append_records->Increment(
+        static_cast<int64_t>(fresh.record_count()));
+    TraceCollector* tracer = TraceCollector::Default();
+    if (!tracer->enabled()) continue;
+    // Only traced frames are decoded (to read their trace context); the
+    // untraced common case touches no payload bytes at all.
+    const int64_t now_us = clock_->NowUs();
+    for (size_t i = 0; i < fresh.frames().size(); ++i) {
+      if (!fresh.frames()[i].traced) continue;
+      auto record = fresh.DecodeFrame(i);
+      if (!record.ok()) continue;
+      // liquid-lint: allow(hot-alloc): span annotation built only for sampled traced frames with tracing enabled; the untraced common case skips this block.
+      tracer->Record(Span{record->trace_id, tracer->NewSpanId(),
+                          record->span_id, t0, now_us, "replicate",
+                          tp.ToString() + " follower=" + std::to_string(id_)});
     }
   }
   const int64_t new_hw =
@@ -1112,6 +1116,7 @@ Status Broker::ReplicateFromLeaders() {
     TopicPartition tp;
     int64_t from;
     int leader;
+    int leader_epoch;
   };
   std::vector<PullTask> tasks;
   {
@@ -1120,7 +1125,8 @@ Status Broker::ReplicateFromLeaders() {
     for (auto& [tp, replica] : replicas_) {
       MutexLock lock(&replica.mu);
       if (replica.is_leader || replica.leader < 0) continue;
-      tasks.push_back(PullTask{tp, replica.log->end_offset(), replica.leader});
+      tasks.push_back(PullTask{tp, replica.log->end_offset(), replica.leader,
+                               replica.leader_epoch});
     }
   }
   for (const PullTask& task : tasks) {
@@ -1149,41 +1155,11 @@ Status Broker::ReplicateFromLeaders() {
     if (!replica_result.ok()) continue;
     Replica* replica = *replica_result;
     MutexLock lock(&replica->mu);
-    if (replica->is_leader) continue;
-    // The leader's frames land here byte-for-byte; frames already stored
-    // (a push raced this pull) are sliced off the shared buffer, not copied.
-    for (const storage::EncodedBatch& batch : resp->batches) {
-      storage::EncodedBatch fresh = batch;
-      fresh.SliceFrom(replica->log->end_offset());
-      if (fresh.empty()) continue;
-      // A failed append is retried by the next pull; the high watermark
-      // below is capped at what did land.
-      if (!replica->log->AppendEncoded(fresh).ok()) break;
-      for (const auto& frame : fresh.frames()) {
-        NoteEpochLocked(replica, frame.leader_epoch, frame.offset);
-      }
-      replicated_records_->Increment(
-          static_cast<int64_t>(fresh.record_count()));
-      replica->append_records->Increment(
-          static_cast<int64_t>(fresh.record_count()));
-    }
-    const int64_t new_hw =
-        std::min<int64_t>(resp->high_watermark, replica->log->end_offset());
-    if (new_hw > replica->high_watermark) {
-      replica->high_watermark = new_hw;
-      StoreHighWatermarkLocked(task.tp, replica);
-    }
-    // If retention deleted our fetch position on the leader, jump forward.
-    if (resp->batches.empty() && task.from < resp->log_start_offset) {
-      // Restart the local log at the leader's start offset.
-      // (Simplified out-of-range handling.)
-      if (Status st = replica->log->Truncate(replica->log->start_offset());
-          !st.ok()) {
-        LIQUID_LOG_WARN << "broker " << id_ << ": out-of-range truncate failed"
-                        << " for " << task.tp.ToString() << ": "
-                        << st.ToString();
-      }
-    }
+    // A refused landing (the leader was deposed meanwhile, or the local log
+    // moved) or a failed append is retried by the next pull.
+    LIQUID_IGNORE_ERROR(AppendFromLeaderLocked(
+        task.tp, replica, task.leader_epoch, task.from, resp->batches,
+        resp->high_watermark));
   }
   return Status::OK();
 }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -150,10 +151,11 @@ class Broker {
 
   // ---- Replication ----
 
-  /// Push-path append from the leader (synchronous acks=all replication and
-  /// transaction markers). Encode-once: the leader forwards the exact bytes
-  /// it appended locally; frames already stored here (offset < local end)
-  /// are skipped by slicing the shared buffer, never by re-encoding.
+  /// Push path: the leader forwards the exact bytes it just appended
+  /// (synchronous acks=all replication and transaction markers), and they
+  /// land through AppendFromLeaderLocked, the one follower append path.
+  /// Fails with FailedPrecondition for a stale `leader_epoch` and with
+  /// OutOfRange when the batch starts past the local log end.
   Status AppendEncodedAsFollower(const TopicPartition& tp,
                                  const storage::EncodedBatch& batch,
                                  int leader_epoch, int64_t leader_hw);
@@ -165,7 +167,10 @@ class Broker {
   Status AwaitReplicaDurable(const TopicPartition& tp, int64_t end_offset);
 
   /// Pull path: every follower partition fetches once from its leader
-  /// (catch-up for acks<all and for restarted brokers).
+  /// (catch-up for acks<all and for restarted brokers) and lands the
+  /// response through AppendFromLeaderLocked under the leader epoch it
+  /// followed when the fetch was sent, so a response from a leader deposed
+  /// meanwhile is refused.
   Status ReplicateFromLeaders();
 
   // ---- Maintenance ----
@@ -190,10 +195,6 @@ class Broker {
   storage::Disk* disk() { return disk_; }
 
  private:
-  /// One hosted partition. Each replica owns its lock: requests for
-  /// different partitions of the same broker proceed fully in parallel.
-  /// Non-movable (the Mutex pins it); replicas_ is a node-based map, so
-  /// entries are constructed in place and never relocate.
   /// Orders a leader's acks=all pushes to each follower by append order.
   /// Produce and WriteTxnMarker take one ticket per push target under the
   /// replica lock, right after their append, so tickets follow the log.
@@ -225,6 +226,10 @@ class Broker {
     std::map<int, Turns> turns_ GUARDED_BY(mu_);
   };
 
+  /// One hosted partition. Each replica owns its lock: requests for
+  /// different partitions of the same broker proceed fully in parallel.
+  /// Non-movable (the Mutex pins it); replicas_ is a node-based map, so
+  /// entries are constructed in place and never relocate.
   struct Replica {
     /// Guards everything below. Acquired after map_mu_ (held shared) and
     /// before any Log-internal lock; never held across coordination-service
@@ -283,6 +288,24 @@ class Broker {
   /// publish-after-unlock contract as ShrinkIsrLocked).
   bool MaybeExpandIsrLocked(const TopicPartition& tp, Replica* replica,
                             int follower) REQUIRES(replica->mu);
+  /// The one follower append path: lands leader bytes sent under
+  /// `leader_epoch` on this follower. `batches` are the leader's log from
+  /// offset `from` on, so the leader holds nothing in [from, first frame);
+  /// a push passes its batch's base offset. In order:
+  ///  - refuses an epoch older than the replica's (FailedPrecondition);
+  ///  - drops frames already stored (a metadata slice, never a copy);
+  ///  - refuses bytes read from past the local log end (OutOfRange): the
+  ///    follower would skip leader records. A gap the leader itself has
+  ///    (retention moved its log start past the local end, or compaction
+  ///    removed offsets) is taken as it is;
+  ///  - appends the rest verbatim, notes their epochs, counts them and
+  ///    gives each traced record a "replicate" span;
+  ///  - raises the high watermark to min(`leader_hw`, local end) and
+  ///    checkpoints it.
+  Status AppendFromLeaderLocked(const TopicPartition& tp, Replica* replica,
+                                int leader_epoch, int64_t from,
+                                std::span<const storage::EncodedBatch> batches,
+                                int64_t leader_hw) REQUIRES(replica->mu);
   /// Publishes `isr` for `tp` to the coordination service. Must be called
   /// with NO broker lock held: the coord write fires watches that re-enter
   /// brokers on this thread (controller election, leadership changes).

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/clock.h"
@@ -263,6 +264,53 @@ TEST_F(ObservabilityE2eTest, SamplingOffLeavesRecordsUntraced) {
                 ->value(),
             1);
 }
+
+/// A replicated record gets one "replicate" span on each follower, with
+/// the same parent as its leader's "append" span, whichever way the
+/// follower took the leader's bytes: the acks=all push, or the pull that
+/// catches up an acks=1 record.
+class ReplicateSpanTest
+    : public ObservabilityE2eTest,
+      public ::testing::WithParamInterface<messaging::AckMode> {};
+
+TEST_P(ReplicateSpanTest, EachFollowerRecordsOneParentedLikeAppend) {
+  FeedOptions feed;
+  feed.replication_factor = 3;
+  LIQUID_ASSERT_OK(liquid_->CreateSourceFeed("events", feed));
+  messaging::ProducerConfig config;
+  config.acks = GetParam();
+  auto producer = liquid_->NewProducer(config);
+  LIQUID_ASSERT_OK(
+      producer->Send("events", storage::Record::KeyValue("k", "v")));
+  LIQUID_ASSERT_OK(producer->Flush());
+  // Two pull rounds: the first lands an acks=1 record on both followers,
+  // the second must not land (or trace) it again.
+  liquid_->cluster()->ReplicationTick();
+  liquid_->cluster()->ReplicationTick();
+
+  std::vector<Span> appends;
+  for (const Span& span : TraceCollector::Default()->Snapshot()) {
+    if (span.name == "append" && span.detail == "events-0") {
+      appends.push_back(span);
+    }
+  }
+  ASSERT_EQ(appends.size(), 1u);
+  std::set<std::string> followers;
+  for (const Span& span : TraceCollector::Default()->Trace(
+           appends[0].trace_id)) {
+    if (span.name != "replicate") continue;
+    EXPECT_EQ(span.parent_span_id, appends[0].parent_span_id);
+    EXPECT_TRUE(followers.insert(span.detail).second) << span.detail;
+  }
+  EXPECT_EQ(followers.size(), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, ReplicateSpanTest,
+    ::testing::Values(messaging::AckMode::kAll, messaging::AckMode::kLeader),
+    [](const ::testing::TestParamInfo<messaging::AckMode>& info) {
+      return info.param == messaging::AckMode::kAll ? "Push" : "Pull";
+    });
 
 }  // namespace
 }  // namespace liquid::core

@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/fault.h"
@@ -47,6 +49,41 @@ class ReplicationTest : public ::testing::Test {
     if (!leader.ok()) return leader.status();
     std::vector<storage::Record> batch{storage::Record::KeyValue("k", value)};
     return (*leader)->Produce(tp, batch, acks).status();
+  }
+
+  /// The values `broker` serves to a consumer from `from` to its high
+  /// watermark (only a leader serves fetches).
+  std::vector<std::string> Served(Broker* broker, const TopicPartition& tp,
+                                  int64_t from) {
+    std::vector<std::string> values;
+    int64_t cursor = from;
+    while (true) {
+      auto fetch = broker->Fetch(tp, cursor, 1 << 20, -1);
+      if (!fetch.ok() || fetch->batches.empty()) break;
+      for (const auto& record : Decoded(*fetch)) values.push_back(record.value);
+      cursor = fetch->next_fetch_offset;
+    }
+    return values;
+  }
+
+  /// Stops every alive broker but `survivor`, the published leader of `tp`
+  /// last, so that `survivor` is elected with an ISR of itself alone and
+  /// serves everything it holds.
+  Broker* LeaveOnly(int survivor, const TopicPartition& tp) {
+    auto state = cluster_->GetPartitionState(tp);
+    EXPECT_TRUE(state.ok());
+    const int published = state.ok() ? state->leader : -1;
+    for (int id : cluster_->AliveBrokerIds()) {
+      if (id != survivor && id != published) {
+        EXPECT_TRUE(cluster_->StopBroker(id).ok()) << id;
+      }
+    }
+    if (published != survivor && published >= 0) {
+      EXPECT_TRUE(cluster_->StopBroker(published).ok()) << published;
+    }
+    auto leader = cluster_->LeaderFor(tp);
+    EXPECT_TRUE(leader.ok()) << leader.status().ToString();
+    return leader.ok() ? *leader : nullptr;
   }
 
   SimulatedClock clock_{1000};
@@ -315,23 +352,154 @@ TEST_F(ReplicationTest, Kip101TruncatesDivergentSuffixBelowLeaderLeo) {
 
   // And if every OTHER broker dies, the restored replica serves the committed
   // records, not its divergent ghost.
-  for (int id : cluster_->AliveBrokerIds()) {
-    if (id != first_leader) LIQUID_ASSERT_OK(cluster_->StopBroker(id));
+  Broker* survivor = LeaveOnly(first_leader, tp);
+  ASSERT_NE(survivor, nullptr);
+  EXPECT_EQ(Served(survivor, tp, 0),
+            (std::vector<std::string>{"common", "committed-1", "committed-2"}));
+}
+
+TEST_F(ReplicationTest, PullResponseFromADeposedLeaderIsRefused) {
+  // A follower's pull stalls inside the old leader's Fetch while the third
+  // broker takes over at the next epoch and the follower reconciles with
+  // it. The stalled response holds the old leader's unreplicated record;
+  // landed after the KIP-101 truncation, it would sit at an offset where
+  // the new leader has a different record.
+  CreateTopic("t", 3, /*min_insync=*/1);
+  const TopicPartition tp{"t", 0};
+  ASSERT_TRUE(ProduceOne(tp, AckMode::kAll, "common").ok());
+  auto state = cluster_->GetPartitionState(tp);
+  ASSERT_TRUE(state.ok());
+  int follower = -1;
+  int new_leader = -1;
+  for (int replica : state->replicas) {
+    if (replica == state->leader) continue;
+    (follower < 0 ? follower : new_leader) = replica;
   }
-  auto leader = cluster_->LeaderFor(tp);
-  ASSERT_TRUE(leader.ok());
-  std::vector<std::string> values;
-  int64_t cursor = 0;
-  while (true) {
-    auto fetch = (*leader)->Fetch(tp, cursor, 1 << 20, -1);
-    if (!fetch.ok() || fetch->batches.empty()) break;
-    for (const auto& record : Decoded(*fetch)) values.push_back(record.value);
-    cursor = fetch->next_fetch_offset;
+  ASSERT_TRUE(ProduceOne(tp, AckMode::kNone, "divergent").ok());
+  auto config = cluster_->GetTopicConfig("t");
+  ASSERT_TRUE(config.ok());
+  PartitionState next = *state;
+  next.leader = new_leader;
+  next.leader_epoch = state->leader_epoch + 1;
+  next.isr = {new_leader, follower};
+
+  const std::string site = "broker.fetch.before_read";
+  FaultSiteConfig delay;
+  delay.kind = FaultActionKind::kDelay;
+  delay.delay_us = 300'000;
+  delay.max_triggers = 1;
+  FaultRegistry::Default()->Arm(site, delay);
+  std::thread pull([&] {
+    LIQUID_EXPECT_OK(cluster_->broker(follower)->ReplicateFromLeaders());
+  });
+  while (FaultRegistry::Default()->hits(site) == 0) std::this_thread::yield();
+
+  LIQUID_EXPECT_OK(
+      cluster_->broker(new_leader)->BecomeLeader(tp, next, *config));
+  LIQUID_EXPECT_OK(
+      cluster_->broker(follower)->BecomeFollower(tp, next, *config));
+  std::vector<storage::Record> batch{
+      storage::Record::KeyValue("k", "committed")};
+  LIQUID_EXPECT_OK(cluster_->broker(new_leader)
+                       ->Produce(tp, batch, AckMode::kLeader)
+                       .status());
+  pull.join();
+  FaultRegistry::Default()->Clear();
+  cluster_->ReplicationTick();
+
+  EXPECT_EQ(*cluster_->broker(follower)->LogEndOffset(tp), 2);
+  Broker* survivor = LeaveOnly(follower, tp);
+  ASSERT_NE(survivor, nullptr);
+  EXPECT_EQ(Served(survivor, tp, 0),
+            (std::vector<std::string>{"common", "committed"}));
+}
+
+TEST_F(ReplicationTest, FollowerCatchesUpPastTheLeadersRetention) {
+  // Retention on the leader deletes segments a stopped follower never
+  // fetched. The restarted follower's fetch position is below the leader's
+  // log start, so it takes up at that start and leaves the gap below it.
+  TopicConfig config;
+  config.replication_factor = 3;
+  config.log.segment_bytes = 256;
+  config.log.retention_bytes = 1024;
+  LIQUID_ASSERT_OK(cluster_->CreateTopic("t", config));
+  const TopicPartition tp{"t", 0};
+  ASSERT_TRUE(ProduceOne(tp, AckMode::kAll, "first").ok());
+  auto state = cluster_->GetPartitionState(tp);
+  ASSERT_TRUE(state.ok());
+  const int leader_id = state->leader;
+  int follower = -1;
+  for (int replica : state->replicas) {
+    if (replica != leader_id) follower = replica;
   }
-  ASSERT_EQ(values.size(), 3u);
-  EXPECT_EQ(values[0], "common");
-  EXPECT_EQ(values[1], "committed-1");
-  EXPECT_EQ(values[2], "committed-2");
+  LIQUID_ASSERT_OK(cluster_->StopBroker(follower));
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(
+        ProduceOne(tp, AckMode::kAll, "value-" + std::to_string(i)).ok());
+  }
+  Broker* leader = cluster_->broker(leader_id);
+  LIQUID_ASSERT_OK(leader->RunLogMaintenance());
+  auto bounds = leader->OffsetBounds(tp);
+  ASSERT_TRUE(bounds.ok());
+  const int64_t leader_start = bounds->first;
+  ASSERT_GT(leader_start, 1);  // Past the stopped follower's log end.
+  const std::vector<std::string> expected = Served(leader, tp, leader_start);
+  ASSERT_FALSE(expected.empty());
+
+  LIQUID_ASSERT_OK(cluster_->RestartBroker(follower));
+  cluster_->ReplicationTick();  // Catch up from the leader's log start.
+  cluster_->ReplicationTick();  // Report LEO == leader LEO: rejoin ISR.
+  EXPECT_EQ(*cluster_->broker(follower)->LogEndOffset(tp),
+            *leader->LogEndOffset(tp));
+
+  Broker* survivor = LeaveOnly(follower, tp);
+  ASSERT_NE(survivor, nullptr);
+  EXPECT_EQ(Served(survivor, tp, leader_start), expected);
+}
+
+TEST_F(ReplicationTest, FollowerCatchesUpAcrossTheLeadersCompactedGap) {
+  // Compaction on the leader removes offsets a stopped follower never
+  // fetched. The leader's log still starts at 0, but has a hole right past
+  // the follower's end: the follower's fetch returns the first frame past
+  // the hole, and the follower takes the hole as the leader has it.
+  TopicConfig config;
+  config.replication_factor = 3;
+  config.log.segment_bytes = 256;
+  config.log.compaction_enabled = true;
+  LIQUID_ASSERT_OK(cluster_->CreateTopic("t", config));
+  const TopicPartition tp{"t", 0};
+  auto state = cluster_->GetPartitionState(tp);
+  ASSERT_TRUE(state.ok());
+  const int leader_id = state->leader;
+  Broker* leader = cluster_->broker(leader_id);
+  std::vector<storage::Record> first{storage::Record::KeyValue("a", "a0")};
+  LIQUID_ASSERT_OK(leader->Produce(tp, first, AckMode::kAll).status());
+  int follower = -1;
+  for (int replica : state->replicas) {
+    if (replica != leader_id) follower = replica;
+  }
+  LIQUID_ASSERT_OK(cluster_->StopBroker(follower));
+  for (int i = 0; i < 40; ++i) {
+    std::vector<storage::Record> batch{
+        storage::Record::KeyValue("k", "k" + std::to_string(i))};
+    LIQUID_ASSERT_OK(leader->Produce(tp, batch, AckMode::kAll).status());
+  }
+  auto compacted = leader->CompactPartition(tp);
+  ASSERT_TRUE(compacted.ok());
+  ASSERT_LT(compacted->records_after, compacted->records_before);
+  const std::vector<std::string> expected = Served(leader, tp, 0);
+  ASSERT_EQ(expected.front(), "a0");
+  ASSERT_LT(expected.size(), 41u);  // The hole is past offset 0.
+
+  LIQUID_ASSERT_OK(cluster_->RestartBroker(follower));
+  cluster_->ReplicationTick();
+  cluster_->ReplicationTick();
+  EXPECT_EQ(*cluster_->broker(follower)->LogEndOffset(tp),
+            *leader->LogEndOffset(tp));
+
+  Broker* survivor = LeaveOnly(follower, tp);
+  ASSERT_NE(survivor, nullptr);
+  EXPECT_EQ(Served(survivor, tp, 0), expected);
 }
 
 TEST_F(ReplicationTest, EndOffsetForEpochAnswers) {
