@@ -49,6 +49,8 @@ Log::Log(Disk* disk, PageCache* cache, std::string name_prefix, LogConfig config
       global->GetCounter(prefix + "group_commit_sync_failures");
   producer_append_mu_acquisitions_ =
       global->GetCounter(prefix + "producer_append_mu_acquisitions");
+  group_commit_sync_us_ =
+      global->GetHistogram(prefix + "group_commit_sync_us");
   read_pin_wait_us_ = global->GetHistogram(prefix + "read_pin_wait_us");
 }
 
@@ -195,11 +197,26 @@ Status Log::SyncDirtySegments() const {
   // folds the injected error into sync_failed_upto_, which fails the acks
   // waiting on that window.
   LIQUID_FAULT_POINT("log.sync.before");
-  ReaderMutexLock lock(&mu_);
-  for (const auto& segment : segments_) {
-    if (!segment->dirty()) continue;
-    // liquid-lint: allow(snapshot-then-call): fsync deliberately runs under the shared log lock: it must exclude truncation/compaction (which drop segments) but not readers; appenders queue behind at most one sync window at the exclusive-lock gate (DESIGN.md section 6c).
-    LIQUID_RETURN_NOT_OK(segment->Flush());
+  // Snapshot each dirty segment with its committed end, and pin the log so
+  // no segment is dropped or rewritten under the sync; then fsync with no
+  // log lock held, so appends keep committing through the window. Bytes
+  // appended past a snapshot stay dirty for the next window. The pin is
+  // released on return, before the committer takes append_mu_: Truncate
+  // and Compact wait for pins holding it.
+  std::vector<std::pair<LogSegment*, uint64_t>> dirty;
+  std::optional<ReadPin> pin;
+  {
+    ReaderMutexLock lock(&mu_);
+    for (const auto& segment : segments_) {
+      if (segment->dirty()) {
+        dirty.emplace_back(segment.get(), segment->size_bytes());
+      }
+    }
+    if (dirty.empty()) return Status::OK();
+    pin.emplace(this);
+  }
+  for (const auto& [segment, target] : dirty) {
+    LIQUID_RETURN_NOT_OK(segment->Flush(target));
   }
   return Status::OK();
 }
@@ -230,8 +247,13 @@ void Log::CommitterLoop() {
       truncations = truncations_;
     }
     // One fsync covers every batch committed during the previous window
-    // (snapshot-then-call: no append_mu_ held across the sync).
+    // (snapshot-then-call: no log lock held across the sync).
+    const auto sync_start = std::chrono::steady_clock::now();
     const Status st = SyncDirtySegments();
+    group_commit_sync_us_->Record(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - sync_start)
+            .count());
     {
       MutexLock lock(&append_mu_);
       if (truncations != truncations_) {

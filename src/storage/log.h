@@ -75,8 +75,9 @@ struct CompactionStats {
 /// in reservation order under the exclusive lock. Concurrent appenders thus
 /// overlap their encoding work instead of serializing on it. Truncation,
 /// retention and compaction drain the pipeline first, then wait for pinned
-/// readers; reads snapshot under the shared lock and copy cold bytes with
-/// none held (ReadEncoded).
+/// readers and an in-flight sync; reads snapshot under the shared lock and
+/// copy cold bytes with none held (ReadEncoded), and the group-commit
+/// committer fsyncs with none held (SyncDirtySegments).
 /// This pipeline is the only producer path; followers land the leader's
 /// bytes verbatim through AppendEncoded.
 class Log {
@@ -208,7 +209,8 @@ class Log {
   void RestartDurabilityAtLocked(int64_t offset) REQUIRES(append_mu_);
 
   /// Holds a read pin from construction (under mu_, so no mutator is
-  /// running) to destruction, across a copying read's unlocked file scan.
+  /// running) to destruction, across a copying read's unlocked file scan
+  /// or the committer's unlocked fsyncs.
   class ReadPin {
    public:
     explicit ReadPin(const Log* log) REQUIRES_SHARED(log->mu_);
@@ -222,14 +224,16 @@ class Log {
 
   /// Blocks until no ReadPin is held. Called by every mutator that drops or
   /// rewrites a segment, holding mu_ exclusive so no read can pin anew;
-  /// bounded by one read step. Records the wait in read_pin_wait_us only
-  /// when there was one.
+  /// bounded by one read step or one committer sync. Records the wait in
+  /// read_pin_wait_us only when there was one.
   void AwaitReadPinsLocked() REQUIRES(mu_);
 
-  /// Flushes every dirty segment under the shared log lock. Appends are
-  /// excluded (they commit under the exclusive lock) but reads proceed.
-  /// Called only by the committer.
-  Status SyncDirtySegments() const EXCLUDES(mu_);
+  /// Flushes every dirty segment up to the end it had when snapshotted
+  /// under the shared log lock. The fsyncs run with no log lock held, under
+  /// a ReadPin, so appends and reads proceed while the sync runs; the pin
+  /// is released before returning. Called only by the committer, holding
+  /// no lock.
+  Status SyncDirtySegments() const EXCLUDES(mu_, append_mu_);
 
   /// Group-commit committer: waits for committed-but-not-durable batches,
   /// syncs them with one fsync per window, publishes durable_offset_.
@@ -249,9 +253,10 @@ class Log {
   int64_t next_offset_ GUARDED_BY(mu_) = 0;
   int64_t start_offset_ GUARDED_BY(mu_) = 0;
 
-  /// Counts copying reads scanning segment files with no log lock held
-  /// (ReadPin). Below mu_: a pin is taken under mu_ shared and awaited under
-  /// mu_ exclusive, and nothing is acquired while it is held.
+  /// Counts copying reads scanning segment files, and committer syncs
+  /// flushing them, with no log lock held (ReadPin). Below mu_: a pin is
+  /// taken under mu_ shared and awaited under mu_ exclusive, and nothing is
+  /// acquired while it is held.
   mutable Mutex pin_mu_;
   mutable CondVar pin_cv_{&pin_mu_};
   mutable int64_t read_pins_ GUARDED_BY(pin_mu_) = 0;
@@ -260,8 +265,8 @@ class Log {
   /// updates (never across encoding or I/O), so reservation is cheap even
   /// under heavy producer concurrency. All group-commit bookkeeping lives
   /// under this same mutex — the committer thread introduces no new lock
-  /// level (DESIGN.md §5a: it snapshots under append_mu_, fsyncs under the
-  /// shared mu_, republishes under append_mu_).
+  /// level (DESIGN.md §5a: it snapshots under append_mu_, fsyncs under a
+  /// ReadPin with no lock held, republishes under append_mu_).
   mutable Mutex append_mu_;
   CondVar append_cv_{&append_mu_};
   /// Next offset to hand to a reserving appender.
@@ -303,6 +308,7 @@ class Log {
   Counter* group_commit_syncs_;
   Counter* group_commit_sync_failures_;
   Counter* producer_append_mu_acquisitions_;
+  Histogram* group_commit_sync_us_;
   Histogram* read_pin_wait_us_;
 };
 

@@ -165,11 +165,11 @@ Status LogSegment::AppendEncoded(const EncodedBatch& batch) {
   return Status::OK();
 }
 
-Status LogSegment::Flush() {
-  const uint64_t target = end_pos_;
+Status LogSegment::Flush(uint64_t target) {
   LIQUID_RETURN_NOT_OK(file_->Sync());
-  // One flusher (the log's committer) and a segment that only grows: the
-  // watermark is monotonic without a CAS.
+  // One flusher (the log's committer) whose targets only grow: the
+  // watermark is monotonic without a CAS. end_pos_ is not read here;
+  // appends move it concurrently.
   // order: release pairs with dirty()'s acquire (see the header).
   synced_pos_.store(target, std::memory_order_release);
   return Status::OK();

@@ -101,10 +101,13 @@ class LogSegment {
   bool empty() const { return next_offset_ == base_offset_; }
   const std::string& file_name() const { return file_name_; }
 
-  /// fsyncs appended bytes and advances the durable watermark dirty() keys
-  /// off. Called only by the owning Log's committer, under the Log's shared
-  /// lock: appends (which grow the segment) hold the exclusive lock.
-  Status Flush();
+  /// fsyncs the file and advances the durable watermark dirty() keys off to
+  /// `target`, the size_bytes() the caller snapshotted under the owning
+  /// Log's lock before the call. Called only by the Log's committer, with
+  /// no log lock held but the log pinned (so the segment is not dropped):
+  /// appends may grow the segment meanwhile, and the bytes they add past
+  /// `target` stay dirty for the next flush.
+  Status Flush(uint64_t target);
 
   /// True when bytes appended after the last successful Flush() exist; the
   /// group committer uses this to sync only segments that need it.
@@ -156,10 +159,11 @@ class LogSegment {
   std::string file_name_;
   int64_t base_offset_;
   Config config_;
-  /// Bytes [0, synced_pos_) were covered by a successful Flush(). Atomic
-  /// because the committer flushes under the shared log lock, beside
-  /// readers; 0 after open (recovery does not know what the last process
-  /// synced, so the first flush conservatively covers the whole file).
+  /// Bytes [0, synced_pos_) were covered by a successful Flush(): the size
+  /// snapshotted before that fsync started. Atomic because the committer
+  /// flushes with no log lock held, beside appends and readers; 0 after
+  /// open (recovery does not know what the last process synced, so the
+  /// first flush conservatively covers the whole file).
   std::atomic<uint64_t> synced_pos_{0};
 
   std::vector<IndexEntry> index_;

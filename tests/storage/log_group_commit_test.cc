@@ -9,7 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -32,12 +37,64 @@ std::vector<Record> KeyedBatch(int count, const std::string& prefix = "k") {
   return out;
 }
 
+/// Holds every fsync inside MemDisk's sync hook, which runs within the
+/// committer's Flush, until Release() or destruction; later syncs pass
+/// straight through. The hook shares the gate's state, so it stays valid
+/// for as long as the disk keeps it. Declare the gate after the futures it
+/// unblocks: releasing on destruction, on any exit from the test body,
+/// lets their destructors finish, so a failed bound reports instead of
+/// hanging.
+class SyncGate {
+ public:
+  SyncGate() = default;
+  ~SyncGate() { Release(); }
+  SyncGate(const SyncGate&) = delete;
+  SyncGate& operator=(const SyncGate&) = delete;
+
+  void Install(MemDisk* disk) {
+    disk->SetSyncFaultHook([state = state_](const std::string&) {
+      std::unique_lock<std::mutex> lock(state->mu);
+      state->entered = true;
+      state->cv.notify_all();
+      state->cv.wait(lock, [&state] { return state->released; });
+      return Status::OK();
+    });
+  }
+
+  /// True once a sync is held in the hook (gives up after 10 s).
+  bool AwaitEntered() {
+    std::unique_lock<std::mutex> lock(state_->mu);
+    return state_->cv.wait_for(lock, std::chrono::seconds(10),
+                               [this] { return state_->entered; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(state_->mu);
+    state_->released = true;
+    state_->cv.notify_all();
+  }
+
+ private:
+  struct State {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool entered = false;
+    bool released = false;
+  };
+  std::shared_ptr<State> state_ = std::make_shared<State>();
+};
+
+/// How long an append may take while the committer is held mid-sync.
+constexpr auto kAppendBound = std::chrono::seconds(2);
+
 class LogGroupCommitTest : public ::testing::Test {
  protected:
   std::unique_ptr<Log> OpenLog(SyncMode mode,
-                               const std::string& prefix = "g0/") {
+                               const std::string& prefix = "g0/",
+                               size_t segment_bytes = LogConfig{}.segment_bytes) {
     LogConfig config;
     config.sync_mode = mode;
+    config.segment_bytes = segment_bytes;
     auto log = Log::Open(&disk_, nullptr, prefix, config, &clock_);
     EXPECT_TRUE(log.ok()) << log.status().ToString();
     return std::move(log).value();
@@ -50,6 +107,17 @@ class LogGroupCommitTest : public ::testing::Test {
     LIQUID_RETURN_NOT_OK(appended.status());
     if (!await) return Status::OK();
     return log->AwaitDurable(appended->last_offset() + 1);
+  }
+
+  /// Appends one unawaited batch per entry of `sizes` on another thread.
+  static std::future<Status> AppendAsync(Log* log, std::vector<int> sizes) {
+    return std::async(std::launch::async, [log, sizes] {
+      for (int records : sizes) {
+        auto batch = KeyedBatch(records);
+        LIQUID_RETURN_NOT_OK(log->AppendBatch(&batch).status());
+      }
+      return Status::OK();
+    });
   }
 
   int64_t CountRecords(Log* log) {
@@ -214,6 +282,98 @@ TEST_F(LogGroupCommitTest, FollowerAppendsCountAsGroupCommitBatches) {
   }
   EXPECT_EQ(batches->value() - before, kBatches);
   LIQUID_ASSERT_OK(follower->AwaitDurable(follower->end_offset()));
+}
+
+TEST_F(LogGroupCommitTest, AppendCompletesWhileTheCommitterSyncs) {
+  // The committer fsyncs with no log lock held, so an append commits while
+  // a whole sync window is still in progress instead of queueing behind it.
+  auto log = OpenLog(SyncMode::kGroup, "g-stall/");
+  std::future<Status> second;
+  SyncGate gate;
+  gate.Install(&disk_);
+  LIQUID_ASSERT_OK(Append(log.get(), 5, /*await=*/false));
+  ASSERT_TRUE(gate.AwaitEntered());
+
+  second = AppendAsync(log.get(), {5});
+  ASSERT_EQ(second.wait_for(kAppendBound), std::future_status::ready)
+      << "append blocked behind the held sync";
+  LIQUID_ASSERT_OK(second.get());
+  EXPECT_EQ(log->end_offset(), 10);
+
+  gate.Release();
+  LIQUID_EXPECT_OK(log->AwaitDurable(5));
+  LIQUID_EXPECT_OK(log->AwaitDurable(10));
+  EXPECT_EQ(log->durable_offset(), 10);
+}
+
+TEST_F(LogGroupCommitTest, BytesAppendedDuringASyncStayUnsyncedUntilTheNextWindow) {
+  // A segment is marked synced only up to the end snapshotted before its
+  // fsync started. Bytes that land in it during the sync stay dirty, so the
+  // next window syncs them before it acknowledges them; a crash then keeps
+  // every acked record, in the old segment and in the one rolled to.
+  constexpr size_t kSegmentBytes = 4096;
+  int64_t acked_end = 0;
+  {
+    auto log = OpenLog(SyncMode::kGroup, "g-mid/", kSegmentBytes);
+    std::future<Status> during;
+    SyncGate gate;
+    gate.Install(&disk_);
+    LIQUID_ASSERT_OK(Append(log.get(), 5, /*await=*/false));
+    ASSERT_TRUE(gate.AwaitEntered());
+
+    // Two batches land in the segment being synced; the last one is larger
+    // than a segment, so it fills that segment and rolls to a new one.
+    during = AppendAsync(log.get(), {5, 5, 200});
+    ASSERT_EQ(during.wait_for(kAppendBound), std::future_status::ready)
+        << "appends blocked behind the held sync";
+    LIQUID_ASSERT_OK(during.get());
+    ASSERT_GE(log->segment_count(), 2);
+
+    gate.Release();
+    acked_end = log->end_offset();
+    ASSERT_EQ(acked_end, 215);
+    for (int64_t end : {5, 10, 15, 215}) {
+      LIQUID_ASSERT_OK(log->AwaitDurable(end));
+    }
+    disk_.SimulateCrash();
+  }
+  disk_.SetSyncFaultHook(nullptr);
+  auto log = OpenLog(SyncMode::kGroup, "g-mid/", kSegmentBytes);
+  EXPECT_EQ(log->end_offset(), acked_end);
+  EXPECT_EQ(CountRecords(log.get()), acked_end);
+}
+
+TEST_F(LogGroupCommitTest, TruncateWaitsForAnInFlightSyncAndDiscardsItsWindow) {
+  // The committer's unlocked fsync holds a read pin, so a truncation that
+  // rewrites the segment being synced waits for it, and the window it
+  // straddled proves nothing about the rewritten bytes: it is discarded, and
+  // durability stays at or below the truncation point until the committer
+  // syncs the rewrite.
+  auto log = OpenLog(SyncMode::kGroup, "g-trunc/");
+  Histogram* pin_wait = MetricsRegistry::Default()->GetHistogram(
+      "liquid.log.g-trunc.read_pin_wait_us");
+  LIQUID_ASSERT_OK(Append(log.get(), 10, /*await=*/true));
+  const int64_t waits_before = pin_wait->count();
+
+  std::future<Status> truncated;
+  SyncGate gate;
+  gate.Install(&disk_);
+  LIQUID_ASSERT_OK(Append(log.get(), 5, /*await=*/false));
+  ASSERT_TRUE(gate.AwaitEntered());
+
+  truncated = std::async(std::launch::async,
+                         [&log] { return log->Truncate(12); });
+  EXPECT_EQ(truncated.wait_for(std::chrono::milliseconds(300)),
+            std::future_status::timeout)
+      << "truncation dropped a segment under an in-flight sync";
+
+  gate.Release();
+  LIQUID_ASSERT_OK(truncated.get());
+  EXPECT_LE(log->durable_offset(), 12);
+  LIQUID_ASSERT_OK(log->AwaitDurable(12));
+  EXPECT_EQ(log->durable_offset(), 12);
+  EXPECT_EQ(log->end_offset(), 12);
+  EXPECT_EQ(pin_wait->count(), waits_before + 1);
 }
 
 }  // namespace
