@@ -45,6 +45,7 @@ Broker::Broker(int id, Cluster* cluster, storage::Disk* disk, Clock* clock,
   produce_bytes_ = global->GetCounter(prefix + "produce_bytes");
   fetch_records_ = global->GetCounter(prefix + "fetch_records");
   replicated_records_ = global->GetCounter(prefix + "replicated_records");
+  replicate_gap_fills_ = global->GetCounter(prefix + "replicate_gap_fills");
   produce_us_ = global->GetHistogram(prefix + "produce_us");
   fetch_us_ = global->GetHistogram(prefix + "fetch_us");
   produce_lock_wait_us_ = global->GetHistogram(prefix + "produce_lock_wait_us");
@@ -583,8 +584,6 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
     }
   }
   std::vector<int> push_targets;
-  std::shared_ptr<PushOrder> push_order;
-  std::vector<uint64_t> push_tickets;
   int epoch = 0;
   int64_t base = -1;
   int64_t leo = 0;
@@ -682,10 +681,6 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
     for (int member : replica->isr) {
       if (member != id_) push_targets.push_back(member);
     }
-    if (!duplicate) {
-      push_order = replica->push_order;
-      push_tickets = push_order->Take(push_targets);
-    }
   }
 
   // acks=all: synchronously replicate to ISR followers (their pull loop,
@@ -694,8 +689,7 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
   // A duplicate has nothing new to push.
   std::vector<int> failed;
   if (!duplicate) {
-    failed = PushToFollowers(tp, batch, epoch, leader_hw, push_targets,
-                             push_order.get(), push_tickets);
+    failed = PushToFollowers(tp, batch, epoch, leader_hw, push_targets);
   }
   LIQUID_RETURN_NOT_OK(AwaitIsrDurable(tp, epoch, leo, /*pushed=*/!duplicate,
                                        push_targets, std::move(failed)));
@@ -711,46 +705,18 @@ Result<ProduceResponse> Broker::Produce(const TopicPartition& tp,
   return resp;
 }
 
-std::vector<uint64_t> Broker::PushOrder::Take(
-    const std::vector<int>& followers) {
-  std::vector<uint64_t> tickets;
-  tickets.reserve(followers.size());
-  MutexLock lock(&mu_);
-  for (int follower : followers) {
-    tickets.push_back(turns_[follower].next_ticket++);
-  }
-  return tickets;
-}
-
-void Broker::PushOrder::AwaitTurn(int follower, uint64_t ticket) {
-  MutexLock lock(&mu_);
-  // Bounded: every earlier ticket belongs to a batch already appended,
-  // whose push to this follower is in flight or next.
-  turn_cv_.Wait(
-      [&]() REQUIRES(mu_) { return turns_[follower].turn == ticket; });
-}
-
-void Broker::PushOrder::Done(int follower) {
-  MutexLock lock(&mu_);
-  ++turns_[follower].turn;
-  turn_cv_.SignalAll();
-}
-
-std::vector<int> Broker::PushToFollowers(
-    const TopicPartition& tp, const storage::EncodedBatch& batch, int epoch,
-    int64_t leader_hw, const std::vector<int>& targets, PushOrder* order,
-    const std::vector<uint64_t>& tickets) {
+std::vector<int> Broker::PushToFollowers(const TopicPartition& tp,
+                                         const storage::EncodedBatch& batch,
+                                         int epoch, int64_t leader_hw,
+                                         const std::vector<int>& targets) {
   std::vector<int> failed;
   failed.reserve(targets.size());
-  for (size_t i = 0; i < targets.size(); ++i) {
-    const int member = targets[i];
-    order->AwaitTurn(member, tickets[i]);
+  for (int member : targets) {
     Broker* follower = cluster_->broker(member);
     const Status st = follower == nullptr
                           ? Status::Unavailable("no such broker")
                           : follower->AppendEncodedAsFollower(tp, batch, epoch,
                                                               leader_hw);
-    order->Done(member);
     if (!st.ok()) failed.push_back(member);
   }
   return failed;
@@ -844,20 +810,36 @@ Status Broker::AppendEncodedAsFollower(const TopicPartition& tp,
   // Chaos surface: a follower that drops/delays leader pushes — the leader
   // reacts by shrinking the ISR, which is exactly what the soak verifies.
   LIQUID_FAULT_POINT("broker.replicate.before_append");
-  ReaderMutexLock map_lock(&map_mu_);
-  LIQUID_ASSIGN_OR_RETURN(Replica * replica, FindReplicaShared(tp));
-  MutexLock lock(&replica->mu);
-  return AppendFromLeaderLocked(tp, replica, leader_epoch, batch.base_offset(),
-                                {&batch, 1}, leader_hw);
+  const auto land = [&]() -> Status {
+    ReaderMutexLock map_lock(&map_mu_);
+    LIQUID_ASSIGN_OR_RETURN(Replica * replica, FindReplicaShared(tp));
+    MutexLock lock(&replica->mu);
+    return AppendFromLeaderLocked(tp, replica, leader_epoch,
+                                  batch.base_offset(), {&batch, 1}, leader_hw);
+  };
+  Status landed = land();
+  if (!landed.IsOutOfRange()) return landed;
+  // An earlier batch has not landed yet: its push is still in flight, or
+  // this follower missed it. The leader, which holds the batch, fills the
+  // gap; the locks are released first (no broker lock is held across a
+  // broker-to-broker call).
+  replicate_gap_fills_->Increment();
+  while (true) {
+    LIQUID_ASSIGN_OR_RETURN(const int64_t moved, PullFromLeader(tp));
+    // A concurrent landing may have closed the gap before the pull took its
+    // snapshot, so the push is retried after every pull, even one that
+    // moved nothing; only then does a pull without progress end the fill.
+    landed = land();
+    if (!landed.IsOutOfRange() || moved <= 0) return landed;
+  }
 }
 
 Status Broker::AppendFromLeaderLocked(
     const TopicPartition& tp, Replica* replica, int leader_epoch, int64_t from,
     std::span<const storage::EncodedBatch> batches, int64_t leader_hw) {
-  if (leader_epoch < replica->leader_epoch) {
-    return Status::FailedPrecondition("leader bytes from a stale epoch");
+  if (leader_epoch != replica->leader_epoch) {
+    return Status::FailedPrecondition("leader bytes from another epoch");
   }
-  replica->leader_epoch = leader_epoch;
   for (const storage::EncodedBatch& batch : batches) {
     const int64_t local_end = replica->log->end_offset();
     // Drop frames we already store (a push raced a pull, or a resend) — a
@@ -866,9 +848,8 @@ Status Broker::AppendFromLeaderLocked(
     fresh.SliceFrom(local_end);
     if (fresh.empty()) continue;
     if (from > local_end) {
-      // We missed leader records (e.g. we were out of the ISR). A refused
-      // push makes the leader shrink the ISR; the next pull, from our end,
-      // catches us up.
+      // We lack leader records below `from`: a push overtook an earlier one,
+      // or we were out of the ISR. A push fills the gap by pulling.
       return Status::OutOfRange("follower behind leader bytes");
     }
     const int64_t t0 = clock_->NowUs();
@@ -924,8 +905,6 @@ Status Broker::WriteTxnMarker(const TopicPartition& tp, int64_t pid,
                               bool committed) {
   storage::EncodedBatch marker;
   std::vector<int> targets;
-  std::shared_ptr<PushOrder> push_order;
-  std::vector<uint64_t> push_tickets;
   int epoch = 0;
   int64_t leo = 0;
   int64_t hw = 0;
@@ -952,8 +931,6 @@ Status Broker::WriteTxnMarker(const TopicPartition& tp, int64_t pid,
     for (int member : replica->isr) {
       if (member != id_) targets.push_back(member);
     }
-    push_order = replica->push_order;
-    push_tickets = push_order->Take(targets);
     epoch = replica->leader_epoch;
     hw = replica->high_watermark;
   }
@@ -961,8 +938,7 @@ Status Broker::WriteTxnMarker(const TopicPartition& tp, int64_t pid,
   // like any acks=all write — without holding any lock: a follower of this
   // partition may simultaneously lead another partition and push to us, and
   // broker locks must never be held across broker-to-broker calls.
-  std::vector<int> failed = PushToFollowers(tp, marker, epoch, hw, targets,
-                                            push_order.get(), push_tickets);
+  std::vector<int> failed = PushToFollowers(tp, marker, epoch, hw, targets);
   return AwaitIsrDurable(tp, epoch, leo, /*pushed=*/true, targets,
                          std::move(failed));
 }
@@ -1111,55 +1087,67 @@ Result<std::pair<int64_t, int64_t>> Broker::OffsetBounds(
   return std::make_pair(replica->log->start_offset(), replica->high_watermark);
 }
 
+Result<int64_t> Broker::PullFromLeader(const TopicPartition& tp) {
+  int64_t from = 0;
+  int leader_id = -1;
+  int leader_epoch = -1;
+  {
+    ReaderMutexLock map_lock(&map_mu_);
+    auto found = FindReplicaShared(tp);
+    if (!found.ok()) return 0;  // Stopped meanwhile: nothing to pull.
+    Replica* replica = *found;
+    MutexLock lock(&replica->mu);
+    if (replica->is_leader || replica->leader < 0) return 0;
+    from = replica->log->end_offset();
+    leader_id = replica->leader;
+    leader_epoch = replica->leader_epoch;
+  }
+  Broker* leader = cluster_->broker(leader_id);
+  if (leader == nullptr) return 0;
+  LIQUID_ASSIGN_OR_RETURN(
+      FetchResponse resp,
+      leader->Fetch(tp, from, config_.fetch_max_bytes, id_));
+  ReaderMutexLock map_lock(&map_mu_);
+  auto found = FindReplicaShared(tp);
+  if (!found.ok()) return 0;
+  Replica* replica = *found;
+  MutexLock lock(&replica->mu);
+  // A refused landing (the leader was deposed meanwhile, or the local log
+  // moved) or a failed append moves nothing; the next pull retries it.
+  LIQUID_IGNORE_ERROR(AppendFromLeaderLocked(tp, replica, leader_epoch, from,
+                                             resp.batches,
+                                             resp.high_watermark));
+  return replica->log->end_offset() - from;
+}
+
 Status Broker::ReplicateFromLeaders() {
-  struct PullTask {
-    TopicPartition tp;
-    int64_t from;
-    int leader;
-    int leader_epoch;
-  };
-  std::vector<PullTask> tasks;
+  std::vector<TopicPartition> followed;
   {
     ReaderMutexLock map_lock(&map_mu_);
     if (!alive_) return Status::Unavailable("broker down");
     for (auto& [tp, replica] : replicas_) {
       MutexLock lock(&replica.mu);
-      if (replica.is_leader || replica.leader < 0) continue;
-      tasks.push_back(PullTask{tp, replica.log->end_offset(), replica.leader,
-                               replica.leader_epoch});
+      if (!replica.is_leader && replica.leader >= 0) followed.push_back(tp);
     }
   }
-  for (const PullTask& task : tasks) {
-    Broker* leader = cluster_->broker(task.leader);
-    if (leader == nullptr) continue;
-    auto resp = leader->Fetch(task.tp, task.from, config_.fetch_max_bytes, id_);
-    if (!resp.ok()) {
-      if (resp.status().IsNotLeader() || resp.status().IsUnavailable()) {
-        // Stale view; refresh from the coordination service.
-        auto data = cluster_->coord()->Get(paths::PartitionStatePath(task.tp));
-        if (!data.ok()) continue;
-        auto state = PartitionState::Parse(*data);
-        if (!state.ok() || state->leader < 0 || state->leader == id_) continue;
-        auto config = cluster_->GetTopicConfig(task.tp.topic);
-        if (!config.ok()) continue;
-        if (Status st = BecomeFollower(task.tp, *state, *config); !st.ok()) {
-          // Retried on the next replication tick with a fresh metadata read.
-          LIQUID_LOG_WARN << "broker " << id_ << ": become-follower failed for "
-                          << task.tp.ToString() << ": " << st.ToString();
-        }
-      }
+  for (const TopicPartition& tp : followed) {
+    auto pulled = PullFromLeader(tp);
+    if (pulled.ok() || !(pulled.status().IsNotLeader() ||
+                         pulled.status().IsUnavailable())) {
       continue;
     }
-    ReaderMutexLock map_lock(&map_mu_);
-    auto replica_result = FindReplicaShared(task.tp);
-    if (!replica_result.ok()) continue;
-    Replica* replica = *replica_result;
-    MutexLock lock(&replica->mu);
-    // A refused landing (the leader was deposed meanwhile, or the local log
-    // moved) or a failed append is retried by the next pull.
-    LIQUID_IGNORE_ERROR(AppendFromLeaderLocked(
-        task.tp, replica, task.leader_epoch, task.from, resp->batches,
-        resp->high_watermark));
+    // Stale view; refresh from the coordination service.
+    auto data = cluster_->coord()->Get(paths::PartitionStatePath(tp));
+    if (!data.ok()) continue;
+    auto state = PartitionState::Parse(*data);
+    if (!state.ok() || state->leader < 0 || state->leader == id_) continue;
+    auto config = cluster_->GetTopicConfig(tp.topic);
+    if (!config.ok()) continue;
+    if (Status st = BecomeFollower(tp, *state, *config); !st.ok()) {
+      // Retried on the next replication tick with a fresh metadata read.
+      LIQUID_LOG_WARN << "broker " << id_ << ": become-follower failed for "
+                      << tp.ToString() << ": " << st.ToString();
+    }
   }
   return Status::OK();
 }

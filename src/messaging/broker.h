@@ -154,8 +154,13 @@ class Broker {
   /// Push path: the leader forwards the exact bytes it just appended
   /// (synchronous acks=all replication and transaction markers), and they
   /// land through AppendFromLeaderLocked, the one follower append path.
-  /// Fails with FailedPrecondition for a stale `leader_epoch` and with
-  /// OutOfRange when the batch starts past the local log end.
+  /// Pushes are unordered: one that starts past the local log end (an
+  /// earlier batch has not landed yet) fills the gap through
+  /// PullFromLeader, with no broker lock held, and tries to land again
+  /// after each pull, until it lands or a pull makes no progress (counted
+  /// in replicate_gap_fills). Fails with FailedPrecondition when
+  /// `leader_epoch` is not the epoch this follower was told about, and
+  /// with OutOfRange when the leader cannot fill the gap.
   Status AppendEncodedAsFollower(const TopicPartition& tp,
                                  const storage::EncodedBatch& batch,
                                  int leader_epoch, int64_t leader_hw);
@@ -166,11 +171,10 @@ class Broker {
   /// follower it counts toward an acks=all acknowledgment.
   Status AwaitReplicaDurable(const TopicPartition& tp, int64_t end_offset);
 
-  /// Pull path: every follower partition fetches once from its leader
-  /// (catch-up for acks<all and for restarted brokers) and lands the
-  /// response through AppendFromLeaderLocked under the leader epoch it
-  /// followed when the fetch was sent, so a response from a leader deposed
-  /// meanwhile is refused.
+  /// Pull path: every follower partition runs PullFromLeader once
+  /// (catch-up for acks<all and for restarted brokers). A partition whose
+  /// leader answers NotLeader or Unavailable refreshes its leadership from
+  /// the coordination service.
   Status ReplicateFromLeaders();
 
   // ---- Maintenance ----
@@ -195,37 +199,6 @@ class Broker {
   storage::Disk* disk() { return disk_; }
 
  private:
-  /// Orders a leader's acks=all pushes to each follower by append order.
-  /// Produce and WriteTxnMarker take one ticket per push target under the
-  /// replica lock, right after their append, so tickets follow the log.
-  /// Each push then waits, holding no broker lock, until its ticket's turn
-  /// at that follower, and passes the turn on whether it succeeded or not.
-  /// Unordered, a later batch can reach a follower first; the follower
-  /// refuses the gap and the leader drops it from the ISR. Every caller
-  /// takes its tickets in the same global order, so no two pushers wait on
-  /// each other.
-  class PushOrder {
-   public:
-    /// The next ticket at each of `followers`, in the same order.
-    std::vector<uint64_t> Take(const std::vector<int>& followers)
-        EXCLUDES(mu_);
-    /// Blocks until `ticket` is the turn at `follower`.
-    void AwaitTurn(int follower, uint64_t ticket) EXCLUDES(mu_);
-    /// Passes the turn at `follower` to its next ticket.
-    void Done(int follower) EXCLUDES(mu_);
-
-   private:
-    struct Turns {
-      uint64_t next_ticket = 0;
-      uint64_t turn = 0;
-    };
-    /// A leaf lock (DESIGN.md §5a): taken under Replica::mu by Take, held
-    /// while acquiring nothing else.
-    Mutex mu_;
-    CondVar turn_cv_{&mu_};
-    std::map<int, Turns> turns_ GUARDED_BY(mu_);
-  };
-
   /// One hosted partition. Each replica owns its lock: requests for
   /// different partitions of the same broker proceed fully in parallel.
   /// Non-movable (the Mutex pins it); replicas_ is a node-based map, so
@@ -258,9 +231,6 @@ class Broker {
     // Cached handle for "liquid.broker.<id>.partition.<tp>.append_records"
     // in the process-wide registry, resolved once when the log opens.
     Counter* append_records GUARDED_BY(mu) = nullptr;
-    // Shared so a push in flight outlives a replica stopped meanwhile.
-    std::shared_ptr<PushOrder> push_order GUARDED_BY(mu) =
-        std::make_shared<PushOrder>();
   };
 
   /// min(first offset over ongoing transactions, high watermark).
@@ -292,7 +262,11 @@ class Broker {
   /// `leader_epoch` on this follower. `batches` are the leader's log from
   /// offset `from` on, so the leader holds nothing in [from, first frame);
   /// a push passes its batch's base offset. In order:
-  ///  - refuses an epoch older than the replica's (FailedPrecondition);
+  ///  - refuses any epoch but the replica's (FailedPrecondition). Only a
+  ///    leadership command moves that epoch, so a new leader's bytes
+  ///    cannot land before BecomeFollower has seen the epoch change (and
+  ///    so run KIP-101 reconciliation), and a pull response from a leader
+  ///    deposed meanwhile cannot land after it;
   ///  - drops frames already stored (a metadata slice, never a copy);
   ///  - refuses bytes read from past the local log end (OutOfRange): the
   ///    follower would skip leader records. A gap the leader itself has
@@ -310,15 +284,19 @@ class Broker {
   /// with NO broker lock held: the coord write fires watches that re-enter
   /// brokers on this thread (controller election, leadership changes).
   void PublishIsr(const TopicPartition& tp, const std::vector<int>& isr);
-  /// Pushes the leader's `batch` to each of `targets`, each push in its
-  /// ticket's turn at that follower (see PushOrder), with no broker lock
+  /// Pulls once for follower partition `tp`: under `replica->mu` it
+  /// snapshots the local log end, the leader and the leader epoch; it
+  /// fetches from the leader with no broker lock held; it lands the
+  /// response through AppendFromLeaderLocked under the snapshotted epoch,
+  /// so a response from a leader deposed meanwhile is refused. Returns how
+  /// far the local log end moved, or the fetch's error.
+  Result<int64_t> PullFromLeader(const TopicPartition& tp);
+  /// Pushes the leader's `batch` to each of `targets` with no broker lock
   /// held. Returns the followers whose push failed.
   std::vector<int> PushToFollowers(const TopicPartition& tp,
                                    const storage::EncodedBatch& batch,
                                    int epoch, int64_t leader_hw,
-                                   const std::vector<int>& targets,
-                                   PushOrder* order,
-                                   const std::vector<uint64_t>& tickets);
+                                   const std::vector<int>& targets);
   /// The one acks=all durability wait (DESIGN.md §6c), shared by fresh
   /// produces, duplicate resends and transaction markers. Waits until
   /// offsets below `end_offset` are durable on this leader; then, if the
@@ -388,6 +366,9 @@ class Broker {
   Counter* produce_bytes_ = nullptr;
   Counter* fetch_records_ = nullptr;
   Counter* replicated_records_ = nullptr;
+  /// Pushes that found a gap and fell back to PullFromLeader
+  /// ("liquid.broker.<id>.replicate_gap_fills").
+  Counter* replicate_gap_fills_ = nullptr;
   Histogram* produce_us_ = nullptr;
   Histogram* fetch_us_ = nullptr;
   /// Time spent acquiring the replica lock in Produce — the direct

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -8,6 +9,7 @@
 
 #include "common/clock.h"
 #include "common/fault.h"
+#include "common/metrics.h"
 #include "messaging/broker.h"
 #include "messaging/cluster.h"
 #include "messaging/producer.h"
@@ -225,9 +227,11 @@ TEST_F(ReplicationTest, ToleratesNMinus1FailuresWithAcksAll) {
 
 TEST_F(ReplicationTest, ConcurrentAcksAllPushesReachFollowersInAppendOrder) {
   // Two acks=all producers on one partition. The first batch's push to its
-  // first follower is held up; the second batch, appended after it, must
-  // not overtake it at either follower, or the follower refuses the gap
-  // (OutOfRange) and the leader drops it from the ISR.
+  // first follower is held up, so the second batch's push reaches that
+  // follower first and finds a gap. The follower fills the gap by pulling
+  // from the leader, which already holds the first batch: the second
+  // produce neither waits for the delayed push nor drops the follower from
+  // the ISR, and every follower ends with both batches in append order.
   CreateTopic("t", 3, /*min_insync=*/2);
   const TopicPartition tp{"t", 0};
   auto leader = cluster_->LeaderFor(tp);
@@ -251,7 +255,9 @@ TEST_F(ReplicationTest, ConcurrentAcksAllPushesReachFollowersInAppendOrder) {
     std::this_thread::yield();
   }
   std::vector<storage::Record> batch{storage::Record::KeyValue("k", "2")};
+  const auto second_t0 = std::chrono::steady_clock::now();
   const Status second = (*leader)->Produce(tp, batch, AckMode::kAll).status();
+  const auto second_wait = std::chrono::steady_clock::now() - second_t0;
   slow.join();
   FaultRegistry::Default()->Clear();
 
@@ -263,6 +269,9 @@ TEST_F(ReplicationTest, ConcurrentAcksAllPushesReachFollowersInAppendOrder) {
   for (int replica : state->replicas) {
     EXPECT_EQ(*cluster_->broker(replica)->LogEndOffset(tp), 2) << replica;
   }
+  // No head-of-line blocking: the second produce does not wait out the
+  // first one's 300 ms delay.
+  EXPECT_LT(second_wait, std::chrono::milliseconds(150));
 }
 
 TEST_F(ReplicationTest, FollowerRejectsStaleEpochPush) {
@@ -278,9 +287,14 @@ TEST_F(ReplicationTest, FollowerRejectsStaleEpochPush) {
   Status st = cluster_->broker(follower)->AppendEncodedAsFollower(
       tp, batch, state->leader_epoch - 1, 0);
   EXPECT_TRUE(st.IsFailedPrecondition());
+  // An epoch the follower has not been told about yet: rejected as well.
+  st = cluster_->broker(follower)->AppendEncodedAsFollower(
+      tp, batch, state->leader_epoch + 1, 0);
+  EXPECT_TRUE(st.IsFailedPrecondition());
+  EXPECT_EQ(*cluster_->broker(follower)->LogEndOffset(tp), 0);
 }
 
-TEST_F(ReplicationTest, FollowerBehindPushSignalsOutOfRange) {
+TEST_F(ReplicationTest, FollowerBehindPushFillsTheGapFromTheLeader) {
   CreateTopic("t", 2);
   const TopicPartition tp{"t", 0};
   auto state = cluster_->GetPartitionState(tp);
@@ -288,11 +302,27 @@ TEST_F(ReplicationTest, FollowerBehindPushSignalsOutOfRange) {
   for (int replica : state->replicas) {
     if (replica != state->leader) follower = replica;
   }
-  // Follower log is empty: a gap.
+  Counter* gap_fills = MetricsRegistry::Default()->GetCounter(
+      "liquid.broker." + std::to_string(follower) + ".replicate_gap_fills");
+  const int64_t fills_before = gap_fills->value();
+  // Two records the follower never fetched, then an acks=all batch whose
+  // push starts past the follower's end: the follower pulls the gap from
+  // the leader and lands the push.
+  ASSERT_TRUE(ProduceOne(tp, AckMode::kNone, "a").ok());
+  ASSERT_TRUE(ProduceOne(tp, AckMode::kNone, "b").ok());
+  EXPECT_EQ(*cluster_->broker(follower)->LogEndOffset(tp), 0);
+  LIQUID_EXPECT_OK(ProduceOne(tp, AckMode::kAll, "c"));
+  EXPECT_EQ(*cluster_->broker(follower)->LogEndOffset(tp), 3);
+  EXPECT_EQ(gap_fills->value() - fills_before, 1);
+  EXPECT_EQ(cluster_->GetPartitionState(tp)->isr.size(), 2u);
+
+  // A gap the leader cannot fill (it holds nothing at offset 10) is still
+  // refused.
   const storage::EncodedBatch batch = PushBatch(10);
   Status st = cluster_->broker(follower)->AppendEncodedAsFollower(
       tp, batch, state->leader_epoch, 0);
-  EXPECT_TRUE(st.IsOutOfRange());
+  EXPECT_TRUE(st.IsOutOfRange()) << st.ToString();
+  EXPECT_EQ(*cluster_->broker(follower)->LogEndOffset(tp), 3);
 }
 
 TEST_F(ReplicationTest, DuplicatePushIsIdempotent) {
@@ -408,6 +438,53 @@ TEST_F(ReplicationTest, PullResponseFromADeposedLeaderIsRefused) {
   cluster_->ReplicationTick();
 
   EXPECT_EQ(*cluster_->broker(follower)->LogEndOffset(tp), 2);
+  Broker* survivor = LeaveOnly(follower, tp);
+  ASSERT_NE(survivor, nullptr);
+  EXPECT_EQ(Served(survivor, tp, 0),
+            (std::vector<std::string>{"common", "committed"}));
+}
+
+TEST_F(ReplicationTest, PushFromANewLeaderBeforeBecomeFollowerIsRefused) {
+  // The controller tells the new leader before the followers. A push from
+  // the new leader that reaches a follower in between must be refused:
+  // accepted, it would raise the follower's epoch, BecomeFollower would see
+  // no epoch change and skip KIP-101 reconciliation, and the follower would
+  // keep its divergent record where the leader has an acked one.
+  CreateTopic("t", 3, /*min_insync=*/1);
+  const TopicPartition tp{"t", 0};
+  ASSERT_TRUE(ProduceOne(tp, AckMode::kAll, "common").ok());
+  auto state = cluster_->GetPartitionState(tp);
+  ASSERT_TRUE(state.ok());
+  int follower = -1;
+  int new_leader = -1;
+  for (int replica : state->replicas) {
+    if (replica == state->leader) continue;
+    (follower < 0 ? follower : new_leader) = replica;
+  }
+  ASSERT_TRUE(ProduceOne(tp, AckMode::kNone, "divergent").ok());
+  LIQUID_ASSERT_OK(cluster_->broker(follower)->ReplicateFromLeaders());
+  ASSERT_EQ(*cluster_->broker(follower)->LogEndOffset(tp), 2);
+
+  auto config = cluster_->GetTopicConfig("t");
+  ASSERT_TRUE(config.ok());
+  PartitionState next = *state;
+  next.leader = new_leader;
+  next.leader_epoch = state->leader_epoch + 1;
+  next.isr = {new_leader, follower};
+  LIQUID_ASSERT_OK(
+      cluster_->coord()->Set(paths::PartitionStatePath(tp), next.Serialize()));
+
+  LIQUID_ASSERT_OK(
+      cluster_->broker(new_leader)->BecomeLeader(tp, next, *config));
+  std::vector<storage::Record> batch{
+      storage::Record::KeyValue("k", "committed")};
+  LIQUID_EXPECT_OK(
+      cluster_->broker(new_leader)->Produce(tp, batch, AckMode::kAll).status());
+  LIQUID_ASSERT_OK(
+      cluster_->broker(follower)->BecomeFollower(tp, next, *config));
+  cluster_->ReplicationTick();
+  cluster_->ReplicationTick();
+
   Broker* survivor = LeaveOnly(follower, tp);
   ASSERT_NE(survivor, nullptr);
   EXPECT_EQ(Served(survivor, tp, 0),
