@@ -19,6 +19,7 @@ Consumer::Consumer(Cluster* cluster, OffsetManager* offsets,
   MetricsRegistry* global = MetricsRegistry::Default();
   const std::string prefix = "liquid.consumer." + config_.group + ".";
   records_counter_ = global->GetCounter(prefix + "records");
+  fetched_records_counter_ = global->GetCounter(prefix + "fetched_records");
   lag_gauge_ = global->GetGauge(prefix + "lag");
   e2e_latency_us_ = global->GetHistogram(prefix + "e2e_latency_us");
   retry_metrics_ = RetryMetrics::Create(prefix);
@@ -44,6 +45,9 @@ Status Consumer::RefreshAssignmentLocked() {
   generation_ = assignment.generation;
   assignment_ = std::move(assignment.partitions);
   poll_cursor_ = 0;
+  // Positions of kept partitions already name the next undelivered record,
+  // so dropping their buffers costs a re-fetch, never a skip.
+  buffers_.clear();
 
   std::map<TopicPartition, int64_t> fresh;
   for (const TopicPartition& tp : assignment_) {
@@ -72,6 +76,51 @@ Status Consumer::RefreshAssignmentLocked() {
   return Status::OK();
 }
 
+bool Consumer::FetchLocked(const TopicPartition& tp, FetchBuffer* buffer) {
+  const int64_t position = positions_[tp];
+  // Unified retry discipline (DESIGN.md §7): a transiently failing
+  // partition (leader mid-election, injected Unavailable) gets a short
+  // jittered backoff and a fresh LeaderFor — the metadata refresh — instead
+  // of silently losing its turn. An exhausted budget defers the partition
+  // to the next Poll rather than failing the whole call.
+  RetryState retry(config_.retry, cluster_->clock(), Deadline::Infinite(),
+                   static_cast<uint64_t>(position + 1) * 1099511628211ull +
+                       static_cast<uint64_t>(tp.partition),
+                   &retry_metrics_);
+  Result<FetchResponse> resp = Status::Unavailable("no fetch attempt");
+  do {
+    auto leader = cluster_->LeaderFor(tp);
+    if (leader.ok()) {
+      resp = (*leader)->Fetch(tp, position, config_.fetch_max_bytes, -1,
+                              config_.client_id, config_.read_committed);
+    } else {
+      resp = leader.status();
+    }
+  } while (!resp.ok() && retry.ShouldRetry(resp.status()));
+  if (!resp.ok()) return false;
+  // Same client-side quota contract as the producer: the broker never
+  // sleeps; an over-quota consumer serves its own throttle verdict here.
+  // liquid-lint: allow(snapshot-then-call): mu_ is the consumer's API lock and the poll is the throttle point; Close/Commit waiting out an in-flight poll is the documented contract.
+  // liquid-lint: allow(hot-block): client-side quota contract (section 4.5): the broker never sleeps; an over-quota consumer serves its own throttle verdict here.
+  if (resp->throttle_ms > 0) cluster_->clock()->SleepMs(resp->throttle_ms);
+  // Client-side decode into the drained buffer's vector, which keeps its
+  // capacity from fetch to fetch: control markers and aborted records are
+  // dropped here, not by the broker. Frames were CRC-checked when the log
+  // parsed them, so a failure here leaves the position alone for the next
+  // Poll.
+  buffer->records.clear();
+  buffer->next = 0;
+  if (!resp->DecodeRecords(&buffer->records).ok()) {
+    buffer->records.clear();
+    return false;
+  }
+  fetched_records_counter_->Increment(
+      static_cast<int64_t>(buffer->records.size()));
+  buffer->next_fetch_offset = resp->next_fetch_offset;
+  buffer->high_watermark = resp->high_watermark;
+  return true;
+}
+
 Result<std::vector<ConsumerRecord>> Consumer::Poll(size_t max_records) {
   MutexLock lock(&mu_);
   if (closed_) return Status::FailedPrecondition("consumer closed");
@@ -87,55 +136,35 @@ Result<std::vector<ConsumerRecord>> Consumer::Poll(size_t max_records) {
        visited < assignment_.size() && out.size() < max_records; ++visited) {
     const TopicPartition& tp =
         assignment_[(poll_cursor_ + visited) % assignment_.size()];
-    // Unified retry discipline (DESIGN.md §7): a transiently failing
-    // partition (leader mid-election, injected Unavailable) gets a short
-    // jittered backoff and a fresh LeaderFor — the metadata refresh — instead
-    // of silently losing its turn. An exhausted budget defers the partition
-    // to the next Poll rather than failing the whole call.
-    RetryState retry(config_.retry, cluster_->clock(), Deadline::Infinite(),
-                     static_cast<uint64_t>(positions_[tp] + 1) *
-                             1099511628211ull +
-                         static_cast<uint64_t>(tp.partition),
-                     &retry_metrics_);
-    Result<FetchResponse> resp = Status::Unavailable("no fetch attempt");
-    do {
-      auto leader = cluster_->LeaderFor(tp);
-      if (leader.ok()) {
-        resp = (*leader)->Fetch(tp, positions_[tp], config_.fetch_max_bytes,
-                                -1, config_.client_id, config_.read_committed);
-      } else {
-        resp = leader.status();
+    FetchBuffer& buffer = buffers_[tp];
+    int64_t& position = positions_[tp];
+    // Serve what an earlier poll left buffered; fetch only once it drains,
+    // and at most once per partition per poll.
+    const bool had_buffered = !buffer.drained();
+    bool fetched = false;
+    while (out.size() < max_records) {
+      if (buffer.drained()) {
+        if (fetched || !FetchLocked(tp, &buffer)) break;
+        fetched = true;
       }
-    } while (!resp.ok() && retry.ShouldRetry(resp.status()));
-    if (!resp.ok()) continue;
-    // Same client-side quota contract as the producer: the broker never
-    // sleeps; an over-quota consumer serves its own throttle verdict here.
-    // liquid-lint: allow(snapshot-then-call): mu_ is the consumer's API lock and the poll is the throttle point; Close/Commit waiting out an in-flight poll is the documented contract.
-    // liquid-lint: allow(hot-block): client-side quota contract (section 4.5): the broker never sleeps; an over-quota consumer serves its own throttle verdict here.
-    if (resp->throttle_ms > 0) cluster_->clock()->SleepMs(resp->throttle_ms);
-    // Client-side decode: control markers and aborted records are dropped
-    // here, not by the broker. Frames were CRC-checked when the log parsed
-    // them, so a failure here leaves the position alone for the next Poll.
-    std::vector<storage::Record> records;
-    if (!resp->DecodeRecords(&records).ok()) continue;
-    bool took_all = true;
-    for (auto& record : records) {
-      if (out.size() >= max_records) {
-        took_all = false;
-        break;
+      for (; !buffer.drained() && out.size() < max_records; ++buffer.next) {
+        storage::Record& record = buffer.records[buffer.next];
+        position = record.offset + 1;
+        out.push_back(ConsumerRecord{tp, std::move(record)});
       }
-      positions_[tp] = record.offset + 1;
-      out.push_back(ConsumerRecord{tp, std::move(record)});
+      // Past the filtered tail (control markers, aborted data) only once
+      // everything before it was delivered.
+      if (buffer.drained()) {
+        position = std::max(position, buffer.next_fetch_offset);
+      }
     }
-    if (took_all) {
-      // Advance past filtered records (control markers, aborted data).
-      positions_[tp] = std::max(positions_[tp], resp->next_fetch_offset);
-    }
-    // Live lag for this partition: committed data not yet consumed. A dead
-    // (non-polling) member stops updating these; the lag monitor derives its
-    // view from committed offsets instead (see lag_monitor.h).
+    if (!had_buffered && !fetched) continue;  // The fetch failed.
+    // Live lag for this partition: committed data not yet delivered, as of
+    // the buffered fetch's high watermark. A dead (non-polling) member stops
+    // updating these; the lag monitor derives its view from committed
+    // offsets instead (see lag_monitor.h).
     const int64_t lag =
-        std::max<int64_t>(0, resp->high_watermark - positions_[tp]);
+        std::max<int64_t>(0, buffer.high_watermark - position);
     partition_lag_[tp] = lag;
     auto gauge = partition_lag_gauges_.find(tp);
     if (gauge == partition_lag_gauges_.end()) {
@@ -189,11 +218,13 @@ Status Consumer::Seek(const TopicPartition& tp, int64_t offset) {
     return Status::InvalidArgument("partition not assigned: " + tp.ToString());
   }
   positions_[tp] = offset;
+  buffers_.erase(tp);
   return Status::OK();
 }
 
 Status Consumer::SeekToTimestamp(int64_t ts_ms) {
   MutexLock lock(&mu_);
+  buffers_.clear();
   for (const TopicPartition& tp : assignment_) {
     auto leader = cluster_->LeaderFor(tp);
     if (!leader.ok()) return leader.status();
@@ -229,6 +260,7 @@ Status Consumer::CloseWithoutCommit() {
   MutexLock lock(&mu_);
   if (closed_) return Status::OK();
   closed_ = true;
+  buffers_.clear();
   return coordinator_->LeaveGroup(config_.group, member_id_);
 }
 
@@ -241,6 +273,7 @@ Status Consumer::Close() {
   MutexLock lock(&mu_);
   if (closed_) return Status::OK();
   closed_ = true;
+  buffers_.clear();
   return coordinator_->LeaveGroup(config_.group, member_id_);
 }
 

@@ -30,6 +30,8 @@ struct ConsumerRecord {
 /// the `liquid.consumer.<group>.*` metrics.
 struct ConsumerConfig {
   std::string group = "default";
+  /// Bytes one fetch of one partition may read. It also bounds the fetch
+  /// buffer: a partition keeps at most one fetch's undelivered records.
   size_t fetch_max_bytes = 1 << 20;
   /// Where to start on a partition with no committed offset.
   bool start_from_earliest = true;
@@ -62,8 +64,14 @@ class Consumer {
   /// Joins the group, subscribing to `topics`; triggers a rebalance.
   Status Subscribe(const std::vector<std::string>& topics);
 
-  /// Fetches up to ~max_records across assigned partitions (round-robin).
-  /// Returns an empty vector when no new committed data exists.
+  /// Delivers up to max_records across assigned partitions (round-robin).
+  /// A partition is served first from its fetch buffer: the decoded records
+  /// of its last fetch that an earlier poll did not deliver. Only a drained
+  /// partition is fetched again, at most once per poll and up to
+  /// fetch_max_bytes; what this poll cannot deliver stays buffered.
+  /// Position(), Positions() and Commit() therefore name the next
+  /// undelivered offset, not the end of the fetch. Returns an empty vector
+  /// when no new committed data exists.
   LIQUID_HOT_PATH
   Result<std::vector<ConsumerRecord>> Poll(size_t max_records);
 
@@ -74,14 +82,14 @@ class Consumer {
   Status CommitWithAnnotations(
       const std::map<std::string, std::string>& annotations);
 
-  /// Moves the position of `tp` (must be assigned).
+  /// Moves the position of `tp` (must be assigned) and drops its buffer.
   Status Seek(const TopicPartition& tp, int64_t offset);
 
   /// Rewinds every assigned partition to the first record at/after ts_ms
-  /// (metadata-based access, §3.1).
+  /// (metadata-based access, §3.1), dropping every buffer.
   Status SeekToTimestamp(int64_t ts_ms);
 
-  /// Current position of `tp` (next offset to fetch).
+  /// Current position of `tp`: the next offset to deliver.
   Result<int64_t> Position(const TopicPartition& tp) const;
 
   /// Snapshot of all positions (for transactional offset commits).
@@ -99,9 +107,29 @@ class Consumer {
   const std::string& member_id() const { return member_id_; }
 
  private:
+  /// The records of a partition's last fetch that no poll has delivered
+  /// yet. `records` is the vector FetchResponse::DecodeRecords filled
+  /// (visible records only); `records[next..]` are undelivered. The
+  /// position moves to `next_fetch_offset`, past any trailing control
+  /// markers or aborted data, only once the buffer drains.
+  struct FetchBuffer {
+    std::vector<storage::Record> records;
+    size_t next = 0;
+    int64_t next_fetch_offset = 0;
+    int64_t high_watermark = 0;
+
+    bool drained() const { return next == records.size(); }
+  };
+
   /// Re-fetches the assignment if the group generation moved; initializes
-  /// positions of newly assigned partitions from committed offsets.
+  /// positions of newly assigned partitions from committed offsets and
+  /// drops every buffer.
   Status RefreshAssignmentLocked() REQUIRES(mu_);
+
+  /// Refills the drained `buffer` of `tp` with one fetch at its position.
+  /// False when the fetch or its decode failed (the position is unchanged).
+  bool FetchLocked(const TopicPartition& tp, FetchBuffer* buffer)
+      REQUIRES(mu_);
 
   Cluster* cluster_;
   OffsetManager* offsets_;
@@ -113,6 +141,9 @@ class Consumer {
   // ("liquid.consumer.<group>.*"), resolved once in the constructor; the
   // registry never erases entries so the pointers stay valid.
   Counter* records_counter_ = nullptr;
+  // Records decoded from fetches; against records_counter_ (delivered) it
+  // measures fetch waste.
+  Counter* fetched_records_counter_ = nullptr;
   Gauge* lag_gauge_ = nullptr;
   Histogram* e2e_latency_us_ = nullptr;
   RetryMetrics retry_metrics_{};
@@ -127,6 +158,9 @@ class Consumer {
   int64_t generation_ GUARDED_BY(mu_) = -1;
   std::vector<TopicPartition> assignment_ GUARDED_BY(mu_);
   std::map<TopicPartition, int64_t> positions_ GUARDED_BY(mu_);
+  // One entry per assigned partition polled since the last drop (seek,
+  // assignment change, close).
+  std::map<TopicPartition, FetchBuffer> buffers_ GUARDED_BY(mu_);
   // Round-robin over assigned partitions.
   size_t poll_cursor_ GUARDED_BY(mu_) = 0;
   bool closed_ GUARDED_BY(mu_) = false;

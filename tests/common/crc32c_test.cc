@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
 
 namespace liquid {
@@ -50,6 +51,54 @@ TEST(Crc32cTest, SensitiveToEveryByte) {
     mutated[i] = 'b';
     EXPECT_NE(crc32c::Value(mutated.data(), mutated.size()), base)
         << "flip at " << i;
+  }
+}
+
+TEST(Crc32cTest, HardwareDispatchWhereverTheCpuHasSse42) {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) {
+    // A dispatch that silently fell back to the table would pass every
+    // value test below and still cost the table loop on every record.
+    EXPECT_TRUE(crc32c::IsHardwareAccelerated());
+  }
+#endif
+  EXPECT_EQ(crc32c::IsHardwareAccelerated(),
+            crc32c::internal::HardwareExtend() != nullptr);
+}
+
+TEST(Crc32cTest, TableMatchesKnownVectors) {
+  EXPECT_EQ(crc32c::internal::ExtendTable(0, "123456789", 9), 0xe3069283u);
+  std::string zeros(32, '\0');
+  EXPECT_EQ(crc32c::internal::ExtendTable(0, zeros.data(), zeros.size()),
+            0x8a9136aau);
+}
+
+// The hardware path against the table: random lengths 0..4 KiB at every
+// start alignment 0..7, whole and split into two Extend calls.
+TEST(Crc32cTest, HardwareMatchesTableOverLengthsAlignmentsAndSplits) {
+  const crc32c::internal::ExtendFn hardware =
+      crc32c::internal::HardwareExtend();
+  if (hardware == nullptr) GTEST_SKIP() << "no CRC32C instruction here";
+  std::mt19937_64 rng(0x5eed);
+  std::string buffer(4096 + 8, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng());
+  std::uniform_int_distribution<size_t> length_of(0, 4096);
+  for (int round = 0; round < 400; ++round) {
+    // Every length 0..64 first (all tail shapes), then random ones.
+    const size_t n = round <= 64 ? static_cast<size_t>(round) : length_of(rng);
+    for (size_t align = 0; align < 8; ++align) {
+      const char* data = buffer.data() + align;
+      const uint32_t seed = round % 2 == 0 ? 0u : static_cast<uint32_t>(rng());
+      const uint32_t want = crc32c::internal::ExtendTable(seed, data, n);
+      ASSERT_EQ(hardware(seed, data, n), want)
+          << "n=" << n << " align=" << align << " seed=" << seed;
+      const size_t split = n == 0 ? 0 : static_cast<size_t>(rng() % (n + 1));
+      const uint32_t head = hardware(seed, data, split);
+      ASSERT_EQ(hardware(head, data + split, n - split), want)
+          << "n=" << n << " align=" << align << " split=" << split;
+      ASSERT_EQ(crc32c::Extend(seed, data, n), want);
+    }
   }
 }
 

@@ -195,5 +195,62 @@ TEST_F(ExactlyOnceTest, StatefulExactlyOnceCountsAreExact) {
   ASSERT_TRUE((*job)->Stop().ok());
 }
 
+// The consumer keeps the undelivered tail of each fetch. A checkpoint must
+// name the next record the job has not processed, never the end of the
+// fetch: commit while records are buffered, crash, restart, and every input
+// must be counted exactly once.
+TEST_F(ExactlyOnceTest, CommitWhileInputIsBufferedSkipsAndRepeatsNothing) {
+  JobConfig config;
+  config.name = "eo-buffered";
+  config.inputs = {"in"};
+  config.exactly_once = true;
+  config.poll_max_records = 16;
+  config.stores = {{"counts", StoreConfig::Kind::kPersistent, true}};
+
+  std::vector<Record> input;
+  std::map<std::string, int> reference;  // The fold: count by key.
+  for (int i = 0; i < 200; ++i) {
+    const std::string key = "k" + std::to_string(i % 7);
+    input.push_back(Record::KeyValue(key, "e"));
+    ++reference[key];
+  }
+  Produce("in", input);
+  const TopicPartition tp{"in", 0};
+
+  auto factory = [] { return std::make_unique<KeyedCounterTask>("counts"); };
+  {
+    auto job = Job::Create(cluster_.get(), offsets_.get(), coordinator_.get(),
+                           &state_disk_, config, factory, "0", txn_.get());
+    ASSERT_TRUE(job.ok()) << job.status().ToString();
+    // One fetch reads all 200 records; three polls deliver 48 of them.
+    for (int i = 0; i < 3; ++i) {
+      auto processed = (*job)->RunOnce();
+      ASSERT_TRUE(processed.ok());
+      ASSERT_EQ(*processed, 16);
+    }
+    LIQUID_ASSERT_OK((*job)->Commit());
+    EXPECT_EQ(offsets_->Fetch("job.eo-buffered", tp)->offset, 48);
+    // Process more inside a transaction that the crash leaves open.
+    ASSERT_TRUE((*job)->RunOnce().ok());
+    LIQUID_ASSERT_OK((*job)->Kill());
+  }
+  // A fresh machine: the store is rebuilt from the committed changelog, and
+  // the input resumes at the committed offset.
+  storage::MemDisk fresh;
+  auto job = Job::Create(cluster_.get(), offsets_.get(), coordinator_.get(),
+                         &fresh, config, factory, "0", txn_.get());
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  ASSERT_TRUE((*job)->RunUntilIdle().ok());
+  KeyValueStore* store = (*job)->GetStore(0, "counts");
+  ASSERT_NE(store, nullptr);
+  for (const auto& [key, count] : reference) {
+    auto stored = store->Get(key);
+    ASSERT_TRUE(stored.ok()) << key;
+    EXPECT_EQ(*stored, std::to_string(count)) << key;
+  }
+  LIQUID_ASSERT_OK((*job)->Stop());
+  EXPECT_EQ(offsets_->Fetch("job.eo-buffered", tp)->offset, 200);
+}
+
 }  // namespace
 }  // namespace liquid::processing

@@ -111,19 +111,20 @@ TEST_F(LogReadPinTest, TruncateWaitsForAStalledReadWhoseBytesStayIntact) {
 
   EncodedBatch read;
   Status read_status;
-  SteadyClock::time_point read_done;
-  std::thread reader([&] {
-    read_status = log->ReadEncoded(0, 1 << 20, &read);
-    read_done = SteadyClock::now();
-  });
+  // The 200 ms stall runs after this stamp and before the reader releases
+  // its pin, so a Truncate that waits for the pin cannot finish earlier
+  // than 200 ms past it. (Stamps taken after the release are unordered.)
+  const SteadyClock::time_point reader_spawned = SteadyClock::now();
+  std::thread reader(
+      [&] { read_status = log->ReadEncoded(0, 1 << 20, &read); });
   AwaitStall();
   // Truncate rewrites the segment the stalled read is scanning (offsets
   // 5..9 go), so it must wait for the read before it drops the file.
   LIQUID_EXPECT_OK(log->Truncate(5));
   const SteadyClock::time_point truncate_done = SteadyClock::now();
   reader.join();
+  EXPECT_GE(truncate_done, reader_spawned + std::chrono::milliseconds(200));
   LIQUID_ASSERT_OK(read_status);
-  EXPECT_GE(truncate_done, read_done);
   EXPECT_EQ(read.bytes().ToString(), appended);
   ASSERT_EQ(read.frames().size(), 10u);
   EXPECT_EQ(read.last_offset(), 9);
