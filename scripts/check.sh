@@ -20,9 +20,11 @@
 #   8. Docs gate: broken intra-repo markdown links and public headers whose
 #      classes lack /// doc comments (scripts/check_docs.sh).
 #   9. Bench emission: Release builds of bench_pipeline_latency,
-#      bench_log_throughput, bench_parallel_produce and bench_insert_sweep
-#      run with --json and must produce their BENCH_*.json artifacts (diff
-#      two runs with scripts/bench_compare.py).
+#      bench_log_throughput, bench_parallel_produce, bench_insert_sweep and
+#      bench_state_recovery run with --json and must produce their
+#      BENCH_*.json artifacts (diff two runs with scripts/bench_compare.py);
+#      every state_recovery row must hold updates_per_key x 1000 changelog
+#      records (one per key and commit).
 #  10. Chaos smoke: bench_chaos_soak --quick must pass (zero acked-record
 #      loss/duplicates/reordering under the seeded fault schedule) and the
 #      same soak with --broken-acks must FAIL, proving the invariant checks
@@ -174,11 +176,15 @@ fi
 # bench_parallel_produce and bench_insert_sweep run --quick (the latter's
 # 4 points: baseline, the acks=all none / group durability pair, and 4
 # producers on one partition): the gate checks emission and the point
-# count, not trends.
-note "bench emission (pipeline_latency, log_throughput, parallel_produce, insert_sweep)"
+# count, not trends. bench_state_recovery (E9) commits once per update
+# round, so each changelog must hold every update: a commit that dropped
+# or coalesced records across commits would make its compaction legs
+# vacuous.
+note "bench emission (pipeline_latency, log_throughput, parallel_produce, insert_sweep, state_recovery)"
 if cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null \
    && cmake --build build-bench -j "${JOBS}" --target bench_pipeline_latency \
         bench_log_throughput bench_parallel_produce bench_insert_sweep \
+        bench_state_recovery \
    && (cd build-bench && bench/bench_pipeline_latency --json) \
    && [ -s build-bench/BENCH_pipeline_latency.json ] \
    && (cd build-bench && bench/bench_log_throughput --json \
@@ -189,8 +195,11 @@ if cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null \
    && [ -s build-bench/BENCH_parallel_produce.json ] \
    && (cd build-bench && bench/bench_insert_sweep --quick --json) \
    && python3 -c "import json, sys; d = json.load(open(sys.argv[1])); assert len(d['results']) == 4, d" \
-        build-bench/BENCH_insert_sweep.json; then
-  echo "OK: build-bench/BENCH_{pipeline_latency,log_throughput,parallel_produce,insert_sweep}.json written"
+        build-bench/BENCH_insert_sweep.json \
+   && (cd build-bench && bench/bench_state_recovery --json) \
+   && python3 -c "import json, sys; d = json.load(open(sys.argv[1])); rows = d['results']; assert rows and all(r['changelog_records'] == r['updates_per_key'] * 1000 for r in rows), rows" \
+        build-bench/BENCH_state_recovery.json; then
+  echo "OK: build-bench/BENCH_{pipeline_latency,log_throughput,parallel_produce,insert_sweep,state_recovery}.json written"
 else
   fail "bench --json emission did not produce all JSON artifacts"
 fi

@@ -34,7 +34,7 @@ struct TraceContext {
 /// One hop of a traced record's journey, recorded by the component that
 /// performed it. Well-known names: "produce" (producer -> leader), "append"
 /// (leader log append), "replicate" (follower append), "fetch" (leader ->
-/// consumer), "process" (job task), "changelog" (store mutation publish).
+/// consumer), "process" (job task), "changelog" (a commit's store-update publish).
 struct Span {
   uint64_t trace_id = 0;
   uint64_t span_id = 0;

@@ -100,11 +100,31 @@ Status KvStore::WriteManifestLocked() {
   return disk_->Rename(tmp_path, name_prefix_ + kManifestName);
 }
 
-Status KvStore::ApplyLocked(Entry entry) {
-  entry.sequence = ++last_sequence_;
-  LIQUID_RETURN_NOT_OK(wal_->Append(entry));
-  memtable_bytes_ += entry.key.size() + entry.value.size();
-  memtable_[entry.key] = std::move(entry);
+void WriteBatch::Put(const Slice& key, const Slice& value) {
+  Entry& entry = entries_.emplace_back();
+  entry.key = key.ToString();
+  entry.value = value.ToString();
+  entry.type = EntryType::kPut;
+}
+
+void WriteBatch::Delete(const Slice& key) {
+  Entry& entry = entries_.emplace_back();
+  entry.key = key.ToString();
+  entry.type = EntryType::kDelete;
+}
+
+Status KvStore::WriteLocked(std::vector<Entry> entries) {
+  if (entries.empty()) return Status::OK();
+  for (Entry& entry : entries) entry.sequence = ++last_sequence_;
+  LIQUID_RETURN_NOT_OK(wal_->AppendBatch(entries));
+  // A batch in key order (a state store's dirty set) inserts each entry
+  // right before the hint, in amortized constant time.
+  auto hint = memtable_.end();
+  for (Entry& entry : entries) {
+    memtable_bytes_ += entry.key.size() + entry.value.size();
+    hint = std::next(
+        memtable_.insert_or_assign(hint, entry.key, std::move(entry)));
+  }
   if (memtable_bytes_ >= options_.memtable_bytes) {
     LIQUID_RETURN_NOT_OK(FlushLocked());
     if (static_cast<int>(l0_.size()) >= options_.l0_compaction_trigger) {
@@ -114,21 +134,21 @@ Status KvStore::ApplyLocked(Entry entry) {
   return Status::OK();
 }
 
-Status KvStore::Put(const Slice& key, const Slice& value) {
-  Entry entry;
-  entry.key = key.ToString();
-  entry.value = value.ToString();
-  entry.type = EntryType::kPut;
+Status KvStore::Write(WriteBatch batch) {
   std::lock_guard<std::mutex> lock(mu_);
-  return ApplyLocked(std::move(entry));
+  return WriteLocked(std::move(batch.entries_));
+}
+
+Status KvStore::Put(const Slice& key, const Slice& value) {
+  WriteBatch batch;
+  batch.Put(key, value);
+  return Write(std::move(batch));
 }
 
 Status KvStore::Delete(const Slice& key) {
-  Entry entry;
-  entry.key = key.ToString();
-  entry.type = EntryType::kDelete;
-  std::lock_guard<std::mutex> lock(mu_);
-  return ApplyLocked(std::move(entry));
+  WriteBatch batch;
+  batch.Delete(key);
+  return Write(std::move(batch));
 }
 
 Result<std::string> KvStore::Get(const Slice& key) const {

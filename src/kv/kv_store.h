@@ -29,6 +29,26 @@ struct KvOptions {
   size_t max_table_bytes = 8 << 20;
 };
 
+/// An ordered set of mutations that `KvStore::Write` applies under one lock
+/// hold with one WAL append (LevelDB's `WriteBatch`). A later mutation of a
+/// key in the same batch wins.
+class WriteBatch {
+ public:
+  void Put(const Slice& key, const Slice& value);
+  void Delete(const Slice& key);
+  void Reserve(size_t mutations) { entries_.reserve(mutations); }
+
+  size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
+  /// The mutations in the order they were added.
+  const std::vector<Entry>& entries() const { return entries_; }
+
+ private:
+  friend class KvStore;
+
+  std::vector<Entry> entries_;
+};
+
 /// Persistent log-structured key-value store — the from-scratch stand-in for
 /// RocksDB that backs stateful processing tasks (§4.4: "the processing layer
 /// allocates the state off-heap by using RocksDB").
@@ -46,6 +66,11 @@ class KvStore {
   KvStore(const KvStore&) = delete;
   KvStore& operator=(const KvStore&) = delete;
 
+  /// The one write path: assigns the batch consecutive sequence numbers,
+  /// appends it to the WAL in one write, then applies it to the memtable.
+  Status Write(WriteBatch batch);
+
+  /// One-entry batches.
   Status Put(const Slice& key, const Slice& value);
   Status Delete(const Slice& key);
 
@@ -82,7 +107,7 @@ class KvStore {
 
   Status Recover();
   Status WriteManifestLocked();
-  Status ApplyLocked(Entry entry);
+  Status WriteLocked(std::vector<Entry> entries);
   Status FlushLocked();
   Status CompactAllLocked();
   std::string TableName(uint64_t number) const;

@@ -1,5 +1,7 @@
 #include "kv/wal.h"
 
+#include <algorithm>
+
 #include "common/coding.h"
 #include "common/crc32c.h"
 
@@ -18,17 +20,33 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
       new WriteAheadLog(disk, std::move(file).value(), name));
 }
 
-Status WriteAheadLog::Append(const Entry& entry) {
-  std::string payload;
-  PutFixed64(&payload, entry.sequence);
-  payload.push_back(static_cast<char>(entry.type));
-  PutLengthPrefixed(&payload, entry.key);
-  PutLengthPrefixed(&payload, entry.value);
-
+Status WriteAheadLog::AppendBatch(std::span<const Entry> entries) {
+  // Payload: fixed64 sequence, type byte, two varint32-prefixed strings.
+  constexpr size_t kMaxPayloadOverhead = 8 + 1 + 5 + 5;
+  constexpr size_t kFrameHeader = 8;  // fixed32 masked CRC, fixed32 length.
+  size_t total = 0;
+  size_t largest = 0;
+  for (const Entry& entry : entries) {
+    const size_t bound =
+        kMaxPayloadOverhead + entry.key.size() + entry.value.size();
+    total += kFrameHeader + bound;
+    largest = std::max(largest, bound);
+  }
   std::string framed;
-  PutFixed32(&framed, crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
-  PutFixed32(&framed, static_cast<uint32_t>(payload.size()));
-  framed.append(payload);
+  framed.reserve(total);
+  std::string payload;
+  payload.reserve(largest);
+  for (const Entry& entry : entries) {
+    payload.clear();
+    PutFixed64(&payload, entry.sequence);
+    payload.push_back(static_cast<char>(entry.type));
+    PutLengthPrefixed(&payload, entry.key);
+    PutLengthPrefixed(&payload, entry.value);
+    PutFixed32(&framed,
+               crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
+    PutFixed32(&framed, static_cast<uint32_t>(payload.size()));
+    framed.append(payload);
+  }
   return file_->Append(framed);
 }
 

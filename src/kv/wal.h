@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "common/result.h"
@@ -24,7 +25,12 @@ class WriteAheadLog {
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
   /// Appends one mutation record.
-  Status Append(const Entry& entry);
+  Status Append(const Entry& entry) { return AppendBatch({&entry, 1}); }
+
+  /// Appends one CRC-protected frame per entry, in order, with a single file
+  /// write. A crash can keep a prefix of the frames; replay then stops at
+  /// the torn one.
+  Status AppendBatch(std::span<const Entry> entries);
 
   /// Invokes `fn` for every intact record in order. A truncated final frame
   /// (torn write from a crash) ends the replay cleanly with OK — that is the

@@ -324,6 +324,7 @@ Status Broker::BecomeLeader(const TopicPartition& tp, const PartitionState& stat
   replica.is_leader = true;
   replica.leader = id_;
   replica.leader_epoch = state.leader_epoch;
+  replica.reconciling = false;  // A leader takes no leader bytes.
   replica.isr = state.isr;
   replica.follower_leo.clear();
   // Idempotence and isolation across failover: the dedup map and the
@@ -367,8 +368,26 @@ Status Broker::BecomeFollower(const TopicPartition& tp,
     replica.isr = state.isr;
     replica.follower_leo.clear();
     if (!epoch_changed) return Status::OK();
+    replica.reconciling = true;
   }
+  const Status reconciled = ReconcileWithLeader(tp, state);
+  // Every path out of the reconciliation ends it, unless a newer leadership
+  // command has taken the replica over (BecomeLeader clears the flag, and a
+  // newer BecomeFollower owns it).
+  ReaderMutexLock map_lock(&map_mu_);
+  auto found = FindReplicaShared(tp);
+  if (found.ok()) {
+    Replica* replica = *found;
+    MutexLock lock(&replica->mu);
+    if (!replica->is_leader && replica->leader_epoch == state.leader_epoch) {
+      replica->reconciling = false;
+    }
+  }
+  return reconciled;
+}
 
+Status Broker::ReconcileWithLeader(const TopicPartition& tp,
+                                   const PartitionState& state) {
   // KIP-101 reconciliation: walk our epoch cache against the new leader's
   // until we find the divergence point, truncating as we go. A plain
   // min(our LEO, leader LEO) cannot see a divergent suffix that lies BELOW
@@ -422,6 +441,9 @@ Status Broker::BecomeFollower(const TopicPartition& tp,
     // HW may be divergent; it will be re-fetched once a leader is reachable.
     return truncate_to(kTruncateToHw);
   }
+  // Chaos surface: a follower that is slow to reconcile while the new
+  // leader already pushes to it.
+  LIQUID_FAULT_POINT("broker.become_follower.before_epoch_query");
   for (int round = 0; round < 64; ++round) {
     const int my_epoch = local_epoch();
     if (my_epoch < 0) break;  // Empty log (or pre-epoch data): nothing to do.
@@ -839,6 +861,9 @@ Status Broker::AppendFromLeaderLocked(
     std::span<const storage::EncodedBatch> batches, int64_t leader_hw) {
   if (leader_epoch != replica->leader_epoch) {
     return Status::FailedPrecondition("leader bytes from another epoch");
+  }
+  if (replica->reconciling) {
+    return Status::Unavailable("follower reconciling with the new leader");
   }
   for (const storage::EncodedBatch& batch : batches) {
     const int64_t local_end = replica->log->end_offset();

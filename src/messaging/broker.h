@@ -214,6 +214,10 @@ class Broker {
     bool is_leader GUARDED_BY(mu) = false;
     int leader GUARDED_BY(mu) = -1;
     int leader_epoch GUARDED_BY(mu) = -1;
+    // Set while BecomeFollower reconciles this follower's log with the new
+    // leader's (KIP-101), which it does with no lock held; leader bytes are
+    // refused until the truncation is done.
+    bool reconciling GUARDED_BY(mu) = false;
     int64_t high_watermark GUARDED_BY(mu) = 0;
     std::vector<int> isr GUARDED_BY(mu);
     // Leader-side view of follower log-end offsets.
@@ -258,6 +262,10 @@ class Broker {
   /// publish-after-unlock contract as ShrinkIsrLocked).
   bool MaybeExpandIsrLocked(const TopicPartition& tp, Replica* replica,
                             int follower) REQUIRES(replica->mu);
+  /// The KIP-101 half of BecomeFollower: walks this follower's epoch cache
+  /// against the new leader's, truncating as it goes, with no lock held.
+  Status ReconcileWithLeader(const TopicPartition& tp,
+                             const PartitionState& state);
   /// The one follower append path: lands leader bytes sent under
   /// `leader_epoch` on this follower. `batches` are the leader's log from
   /// offset `from` on, so the leader holds nothing in [from, first frame);
@@ -267,6 +275,10 @@ class Broker {
   ///    cannot land before BecomeFollower has seen the epoch change (and
   ///    so run KIP-101 reconciliation), and a pull response from a leader
   ///    deposed meanwhile cannot land after it;
+  ///  - refuses any bytes while that reconciliation runs (Unavailable):
+  ///    sliced against a divergent suffix it is about to truncate, they
+  ///    would count toward the leader's HW and then be lost. A refused push
+  ///    drops the follower from the ISR, and it rejoins through the pull;
   ///  - drops frames already stored (a metadata slice, never a copy);
   ///  - refuses bytes read from past the local log end (OutOfRange): the
   ///    follower would skip leader records. A gap the leader itself has

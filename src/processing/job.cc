@@ -78,6 +78,7 @@ Job::Job(messaging::Cluster* cluster, messaging::OffsetManager* offsets,
   processed_counter_ = global->GetCounter(prefix + "processed");
   process_us_ = global->GetHistogram(prefix + "process_us");
   e2e_latency_us_ = global->GetHistogram(prefix + "e2e_latency_us");
+  commit_dirty_keys_ = global->GetHistogram(prefix + "commit_dirty_keys");
   // Per-job-registry twins (kept for test/introspection compatibility).
   sent_counter_ = metrics_.GetCounter("job." + config_.name + ".sent");
   job_processed_counter_ =
@@ -106,6 +107,12 @@ Result<std::unique_ptr<Job>> Job::Create(
   if (config.exactly_once && txn_coordinator == nullptr) {
     return Status::InvalidArgument(
         "exactly_once requires a TransactionCoordinator");
+  }
+  if (config.exactly_once && !config.restore_from_changelog) {
+    // The stores apply a transaction's state only after it commits; a crash
+    // in between leaves that state in the changelog alone.
+    return Status::InvalidArgument(
+        "exactly_once requires restore_from_changelog");
   }
   std::unique_ptr<Job> job(new Job(cluster, offsets, coordinator, state_disk,
                                    std::move(config), std::move(factory),
@@ -212,7 +219,7 @@ Status Job::EnsureTask(int partition) {
   state.context = std::make_unique<ContextImpl>(this, partition);
 
   for (const StoreConfig& store_config : config_.stores) {
-    std::unique_ptr<KeyValueStore> inner;
+    std::unique_ptr<BatchStore> inner;
     if (store_config.kind == StoreConfig::Kind::kInMemory) {
       inner = std::make_unique<InMemoryStore>();
     } else {
@@ -223,31 +230,29 @@ Status Job::EnsureTask(int partition) {
       if (!persistent.ok()) return persistent.status();
       inner = std::move(persistent).value();
     }
-    if (store_config.changelog) {
-      const TopicPartition changelog_tp{
-          ChangelogTopic(config_.name, store_config.name), partition};
-      // Invoked from store mutations inside Process(), i.e. with mu_ held;
-      // the REQUIRES is checked on the lambda body, and the call site is
-      // reached only through the type-erased ChangelogEmitter.
-      auto emitter = [this, changelog_tp](storage::Record record) REQUIRES(
-                         mu_) -> Status {
-        // Changelog entries derive from the input record being processed:
-        // they carry its trace context so restores and audits can tie a
-        // store mutation back to the message that caused it.
-        StampTrace(&record);
-        changelog_buffer_[changelog_tp].push_back(std::move(record));
-        return Status::OK();
-      };
-      auto changelog_store =
-          std::make_unique<ChangelogStore>(std::move(inner), emitter);
-      if (config_.restore_from_changelog) {
-        LIQUID_RETURN_NOT_OK(
-            RestoreStore(partition, store_config, changelog_store.get()));
-      }
-      state.stores[store_config.name] = std::move(changelog_store);
-    } else {
+    if (!store_config.changelog) {
       state.stores[store_config.name] = std::move(inner);
+      continue;
     }
+    // Store mutations run inside Process(), i.e. with mu_ held; the REQUIRES
+    // is checked on the lambda body, and the call site is reached only
+    // through the type-erased TraceSource. A changelog record carries the
+    // trace context of the input that last updated its key, so restores and
+    // audits can tie a store mutation back to the message that caused it.
+    auto trace = [this]() REQUIRES(mu_) -> TraceContext {
+      return current_trace_;
+    };
+    auto changelog_store =
+        std::make_unique<ChangelogStore>(std::move(inner), trace);
+    if (config_.restore_from_changelog) {
+      LIQUID_RETURN_NOT_OK(
+          RestoreStore(partition, store_config, changelog_store.get()));
+    }
+    state.changelogs.emplace_back(
+        TopicPartition{ChangelogTopic(config_.name, store_config.name),
+                       partition},
+        changelog_store.get());
+    state.stores[store_config.name] = std::move(changelog_store);
   }
 
   auto [it, inserted] = tasks_.emplace(partition, std::move(state));
@@ -366,20 +371,50 @@ void Job::StampTrace(storage::Record* record) {
   record->ingest_us = current_trace_.ingest_us;
 }
 
-Status Job::FlushChangelogs() {
-  for (auto& [tp, records] : changelog_buffer_) {
-    if (records.empty()) continue;
-    // liquid-lint: allow(snapshot-then-call): changelog entries ride in the commit's transaction; draining the buffer is part of the atomic commit under mu_.
-    LIQUID_RETURN_NOT_OK(producer_->SendBatch(tp, std::move(records)).status());
-    records.clear();
+bool Job::HasDirtyState() const {
+  for (const auto& [partition, state] : tasks_) {
+    for (const auto& [tp, store] : state.changelogs) {
+      if (store->dirty_keys() > 0) return true;
+    }
+  }
+  return false;
+}
+
+Status Job::PublishDirtyState() {
+  for (auto& [partition, state] : tasks_) {
+    for (auto& [tp, store] : state.changelogs) {
+      std::vector<storage::Record> records = store->DirtyRecords();
+      if (records.empty()) continue;
+      // liquid-lint: allow(snapshot-then-call): the changelog records ride in the commit's transaction; publishing them is part of the atomic commit under mu_.
+      LIQUID_RETURN_NOT_OK(
+          producer_->SendBatch(tp, std::move(records)).status());
+    }
   }
   return Status::OK();
 }
 
+Status Job::ApplyDirtyState() {
+  int64_t applied = 0;
+  for (auto& [partition, state] : tasks_) {
+    for (auto& [tp, store] : state.changelogs) {
+      LIQUID_ASSIGN_OR_RETURN(const size_t keys, store->ApplyDirty());
+      applied += static_cast<int64_t>(keys);
+    }
+  }
+  if (applied > 0) commit_dirty_keys_->Record(applied);
+  return Status::OK();
+}
+
 Status Job::CommitLocked() {
-  LIQUID_RETURN_NOT_OK(FlushChangelogs());
   if (config_.exactly_once) {
-    if (!txn_open_) return Status::OK();  // Nothing processed: nothing to do.
+    if (!txn_open_) {
+      if (!HasDirtyState()) return Status::OK();  // Nothing to commit.
+      // A Window() call changed state in a round that processed no input.
+      // liquid-lint: allow(snapshot-then-call): the transaction must be open before its changelog records are sent; txn_open_ and the open transaction change together under mu_.
+      LIQUID_RETURN_NOT_OK(producer_->BeginTransaction());
+      txn_open_ = true;
+    }
+    LIQUID_RETURN_NOT_OK(PublishDirtyState());
     // liquid-lint: allow(snapshot-then-call): outputs, changelogs, offsets and the commit marker must land as one atomic unit (exactly-once); mu_ is what makes the unit atomic.
     LIQUID_RETURN_NOT_OK(producer_->Flush());
     // Input offsets ride inside the transaction: outputs, changelog updates
@@ -397,10 +432,15 @@ Status Job::CommitLocked() {
     // liquid-lint: allow(snapshot-then-call): txn_open_ and the committed transaction change together under mu_ -- releasing between them would let a racing RunOnce reuse a closed transaction.
     LIQUID_RETURN_NOT_OK(producer_->CommitTransaction());
     txn_open_ = false;
-    return Status::OK();
+    // Only committed state reaches the stores. A crash before this apply
+    // loses nothing: the restore replays the committed changelog.
+    return ApplyDirtyState();
   }
+  LIQUID_RETURN_NOT_OK(PublishDirtyState());
   // liquid-lint: allow(snapshot-then-call): at-least-once commit = flush-then-commit with no interleaved processing; mu_ provides exactly that window.
   LIQUID_RETURN_NOT_OK(producer_->Flush());
+  // Apply before the checkpoint: a crash in between only replays inputs.
+  LIQUID_RETURN_NOT_OK(ApplyDirtyState());
   // liquid-lint: allow(snapshot-then-call): same atomic flush-then-commit window as the flush above.
   return consumer_->CommitWithAnnotations(config_.checkpoint_annotations);
 }

@@ -42,6 +42,8 @@ struct JobConfig {
   /// Start from the earliest offset when no checkpoint exists.
   bool start_from_earliest = true;
   /// Restore store contents from the changelog when a task (re)starts.
+  /// Required by exactly_once: a crash between a transaction's commit and
+  /// the store's apply leaves the last round in the changelog alone.
   bool restore_from_changelog = true;
   /// Offsets are checkpointed (and outputs flushed) at least this often.
   int64_t commit_interval_ms = 1000;
@@ -88,8 +90,11 @@ class Job {
   /// commits. Returns total records processed.
   Result<int64_t> RunUntilIdle(int idle_rounds = 2);
 
-  /// Flushes outputs and changelogs, then checkpoints input offsets with the
-  /// configured annotations (at-least-once order, §4.3).
+  /// Publishes one changelog record per dirty store key, flushes outputs,
+  /// applies the dirty keys to the stores and checkpoints input offsets with
+  /// the configured annotations (at-least-once order, §4.3). Under
+  /// exactly_once the changelog records and offsets ride in the transaction,
+  /// and the stores are applied only after it commits.
   Status Commit() EXCLUDES(mu_);
 
   /// Commits and leaves the consumer group.
@@ -131,6 +136,10 @@ class Job {
   struct TaskState {
     std::unique_ptr<StreamTask> task;
     std::map<std::string, std::unique_ptr<KeyValueStore>> stores;
+    /// The changelogged stores among `stores`, with their changelog
+    /// partitions.
+    std::vector<std::pair<messaging::TopicPartition, ChangelogStore*>>
+        changelogs;
     std::unique_ptr<ContextImpl> context;
   };
 
@@ -146,12 +155,17 @@ class Job {
   Status EnsureTask(int partition) REQUIRES(mu_);
   Status RestoreStore(int partition, const StoreConfig& store_config,
                       ChangelogStore* store);
-  Status FlushChangelogs() REQUIRES(mu_);
-  /// Stamps an outgoing record (task output or changelog entry) with the
-  /// trace context of the input record currently being processed, so the one
-  /// trace id follows the derivation chain downstream. Called only with mu_
-  /// held — from the collector/emitter reached through RunOnce's Process()
-  /// call — but the analysis cannot see that across the virtual boundary.
+  bool HasDirtyState() const REQUIRES(mu_);
+  /// Sends one changelog record per dirty key of every changelogged store.
+  Status PublishDirtyState() REQUIRES(mu_);
+  /// Applies every changelogged store's dirty set to its inner store.
+  Status ApplyDirtyState() REQUIRES(mu_);
+  /// Stamps a task's output record with the trace context of the input
+  /// record currently being processed, so the one trace id follows the
+  /// derivation chain downstream (changelog records get theirs from the
+  /// store's dirty set). Called only with mu_ held — from the collector
+  /// reached through RunOnce's Process() call — but the analysis cannot see
+  /// that across the virtual boundary.
   void StampTrace(storage::Record* record) NO_THREAD_SAFETY_ANALYSIS;
 
   messaging::Cluster* cluster_;
@@ -176,6 +190,7 @@ class Job {
   Counter* processed_counter_ = nullptr;
   Histogram* process_us_ = nullptr;
   Histogram* e2e_latency_us_ = nullptr;
+  Histogram* commit_dirty_keys_ = nullptr;
   Counter* sent_counter_ = nullptr;
   Counter* job_processed_counter_ = nullptr;
 
@@ -185,8 +200,6 @@ class Job {
   /// the task emits parents onto it. Inactive outside the processing loop.
   TraceContext current_trace_ GUARDED_BY(mu_);
   std::map<int, TaskState> tasks_ GUARDED_BY(mu_);  // Keyed by partition id.
-  std::map<messaging::TopicPartition, std::vector<storage::Record>>
-      changelog_buffer_ GUARDED_BY(mu_);
   int64_t last_commit_ms_ GUARDED_BY(mu_) = 0;
   int64_t last_window_ms_ GUARDED_BY(mu_) = 0;
   bool stopped_ GUARDED_BY(mu_) = false;

@@ -133,6 +133,44 @@ TEST_F(KvStoreTest, RecoveryFromWalAfterCrash) {
   EXPECT_EQ(*reopened->Get("also"), "this");
 }
 
+TEST_F(KvStoreTest, WriteBatchAppliesInOrderAndRecoversFromWal) {
+  {
+    auto store = OpenStore();
+    LIQUID_ASSERT_OK(store->Put("old", "gone-soon"));
+    WriteBatch batch;
+    batch.Put("a", "1");
+    batch.Put("b", "2");
+    batch.Delete("a");
+    batch.Put("b", "22");  // The later mutation of a key wins.
+    batch.Delete("old");
+    batch.Put("c", "3");
+    EXPECT_EQ(batch.size(), 6u);
+    LIQUID_ASSERT_OK(store->Write(std::move(batch)));
+    EXPECT_TRUE(store->Get("a").status().IsNotFound());
+    EXPECT_EQ(*store->Get("b"), "22");
+    EXPECT_TRUE(store->Get("old").status().IsNotFound());
+    LIQUID_ASSERT_OK(store->Write(WriteBatch{}));  // Empty: a no-op.
+  }
+  auto reopened = OpenStore();
+  EXPECT_TRUE(reopened->Get("a").status().IsNotFound());
+  EXPECT_EQ(*reopened->Get("b"), "22");
+  EXPECT_EQ(*reopened->Get("c"), "3");
+  EXPECT_TRUE(reopened->Get("old").status().IsNotFound());
+  EXPECT_EQ(*reopened->CountLiveKeys(), 2);
+}
+
+TEST_F(KvStoreTest, WriteBatchLargerThanTheMemtableFlushes) {
+  auto store = OpenStore();  // 1 KiB memtable.
+  WriteBatch batch;
+  for (int i = 0; i < 200; ++i) {
+    batch.Put("key" + std::to_string(i), "value" + std::to_string(i));
+  }
+  LIQUID_ASSERT_OK(store->Write(std::move(batch)));
+  EXPECT_GE(store->l0_table_count() + store->l1_table_count(), 1);
+  EXPECT_EQ(*store->CountLiveKeys(), 200);
+  EXPECT_EQ(*store->Get("key150"), "value150");
+}
+
 TEST_F(KvStoreTest, RecoveryFromManifestAndTables) {
   {
     auto store = OpenStore();

@@ -42,6 +42,36 @@ TEST_F(WalTest, AppendAndReplayInOrder) {
   }
 }
 
+TEST_F(WalTest, AppendBatchWritesTheSameFramesInOneWrite) {
+  // A batch is the frames of its entries, byte for byte, so replay and
+  // torn-tail handling need nothing new.
+  const std::vector<Entry> entries{MakeEntry("a", "1", 1),
+                                   MakeEntry("b", "", 2, EntryType::kDelete),
+                                   MakeEntry("c", "3", 3)};
+  auto singles = WriteAheadLog::Open(&disk_, "WAL-singles");
+  for (const Entry& entry : entries) LIQUID_ASSERT_OK((*singles)->Append(entry));
+  auto batched = WriteAheadLog::Open(&disk_, "WAL-batched");
+  const int64_t written_before = disk_.bytes_written();
+  LIQUID_ASSERT_OK((*batched)->AppendBatch(entries));
+  EXPECT_EQ(disk_.bytes_written() - written_before,
+            static_cast<int64_t>((*batched)->size_bytes()));
+
+  auto bytes = [&](const std::string& name) {
+    auto file = disk_.OpenOrCreate(name);
+    std::string out;
+    EXPECT_TRUE((*file)->ReadAt(0, (*file)->Size(), &out).ok());
+    return out;
+  };
+  EXPECT_EQ(bytes("WAL-batched"), bytes("WAL-singles"));
+  std::vector<Entry> replayed;
+  LIQUID_ASSERT_OK(
+      (*batched)->Replay([&](const Entry& e) { replayed.push_back(e); }));
+  ASSERT_EQ(replayed.size(), 3u);
+  EXPECT_EQ(replayed[1].key, "b");
+  EXPECT_EQ(replayed[1].type, EntryType::kDelete);
+  EXPECT_EQ(replayed[2].sequence, 3u);
+}
+
 TEST_F(WalTest, ReplayAfterReopen) {
   {
     auto wal = WriteAheadLog::Open(&disk_, "WAL");

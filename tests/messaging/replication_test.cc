@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -485,6 +486,78 @@ TEST_F(ReplicationTest, PushFromANewLeaderBeforeBecomeFollowerIsRefused) {
   cluster_->ReplicationTick();
   cluster_->ReplicationTick();
 
+  Broker* survivor = LeaveOnly(follower, tp);
+  ASSERT_NE(survivor, nullptr);
+  EXPECT_EQ(Served(survivor, tp, 0),
+            (std::vector<std::string>{"common", "committed"}));
+}
+
+TEST_F(ReplicationTest, PushDuringFollowerReconciliationIsRefused) {
+  // BecomeFollower takes the new epoch in its first locked scope, then asks
+  // the new leader where its divergent suffix starts with no lock held. An
+  // acks=all push that lands in between is sliced off against that suffix
+  // (the follower "already has" its offset) and counts toward the leader's
+  // HW; the truncation that follows then removes the acked record, and a
+  // follower left as the only survivor would serve without it.
+  CreateTopic("t", 3, /*min_insync=*/1);
+  const TopicPartition tp{"t", 0};
+  ASSERT_TRUE(ProduceOne(tp, AckMode::kAll, "common").ok());
+  auto state = cluster_->GetPartitionState(tp);
+  ASSERT_TRUE(state.ok());
+  int follower = -1;
+  int new_leader = -1;
+  for (int replica : state->replicas) {
+    if (replica == state->leader) continue;
+    (follower < 0 ? follower : new_leader) = replica;
+  }
+  ASSERT_TRUE(ProduceOne(tp, AckMode::kNone, "divergent").ok());
+  LIQUID_ASSERT_OK(cluster_->broker(follower)->ReplicateFromLeaders());
+  ASSERT_EQ(*cluster_->broker(follower)->LogEndOffset(tp), 2);
+
+  auto config = cluster_->GetTopicConfig("t");
+  ASSERT_TRUE(config.ok());
+  PartitionState next = *state;
+  next.leader = new_leader;
+  next.leader_epoch = state->leader_epoch + 1;
+  next.isr = {new_leader, follower};
+  LIQUID_ASSERT_OK(
+      cluster_->coord()->Set(paths::PartitionStatePath(tp), next.Serialize()));
+  LIQUID_ASSERT_OK(
+      cluster_->broker(new_leader)->BecomeLeader(tp, next, *config));
+
+  const std::string site = "broker.become_follower.before_epoch_query";
+  FaultSiteConfig delay;
+  delay.kind = FaultActionKind::kDelay;
+  delay.delay_us = 300'000;
+  delay.max_triggers = 1;
+  FaultRegistry::Default()->Arm(site, delay);
+  std::thread reconcile([&] {
+    LIQUID_EXPECT_OK(
+        cluster_->broker(follower)->BecomeFollower(tp, next, *config));
+  });
+  while (FaultRegistry::Default()->hits(site) == 0) std::this_thread::yield();
+  std::vector<storage::Record> batch{
+      storage::Record::KeyValue("k", "committed")};
+  LIQUID_EXPECT_OK(
+      cluster_->broker(new_leader)->Produce(tp, batch, AckMode::kAll).status());
+  reconcile.join();
+  FaultRegistry::Default()->Clear();
+
+  // The acked record is covered by the leader's HW. A follower the leader
+  // still counts in its ISR must hold it.
+  EXPECT_EQ(*cluster_->broker(new_leader)->HighWatermark(tp), 2);
+  const int64_t follower_end = *cluster_->broker(follower)->LogEndOffset(tp);
+  auto published = cluster_->GetPartitionState(tp);
+  ASSERT_TRUE(published.ok());
+  const bool counted = std::find(published->isr.begin(), published->isr.end(),
+                                 follower) != published->isr.end();
+  EXPECT_FALSE(counted && follower_end < 2)
+      << "the ISR counts follower " << follower << " at log end "
+      << follower_end << ", below the acked record";
+
+  // The refused follower rejoins through the pull.
+  cluster_->ReplicationTick();
+  cluster_->ReplicationTick();
   Broker* survivor = LeaveOnly(follower, tp);
   ASSERT_NE(survivor, nullptr);
   EXPECT_EQ(Served(survivor, tp, 0),

@@ -195,6 +195,143 @@ TEST_F(ExactlyOnceTest, StatefulExactlyOnceCountsAreExact) {
   ASSERT_TRUE((*job)->Stop().ok());
 }
 
+// A crash on the same machine: the restarted job finds the state disk as the
+// crash left it. The kv store must hold no state of the aborted transaction,
+// since the read_committed restore replays only committed changelog records
+// and has nothing to overwrite it with.
+class SameDiskRestartTest : public ExactlyOnceTest {
+ protected:
+  JobConfig CounterConfig() {
+    JobConfig config;
+    config.name = "eo-same-disk";
+    config.inputs = {"in"};
+    config.exactly_once = true;
+    config.stores = {{"counts", StoreConfig::Kind::kPersistent, true}};
+    return config;
+  }
+
+  std::unique_ptr<Job> MakeCounter(const JobConfig& config) {
+    auto factory = [] {
+      return std::make_unique<KeyedCounterTask>("counts", "out");
+    };
+    auto job = Job::Create(cluster_.get(), offsets_.get(), coordinator_.get(),
+                           &state_disk_, config, factory, "0", txn_.get());
+    EXPECT_TRUE(job.ok()) << job.status().ToString();
+    return std::move(job).value();
+  }
+
+  void ProduceOneKey(int records) {
+    std::vector<Record> input;
+    for (int i = 0; i < records; ++i) {
+      input.push_back(Record::KeyValue("user", "e"));
+    }
+    Produce("in", input);
+  }
+
+  /// Restarts on the same state disk, runs to the end and returns the count.
+  std::string CountAfterRestart(const JobConfig& config) {
+    auto job = MakeCounter(config);
+    EXPECT_TRUE(job->RunUntilIdle().ok());
+    KeyValueStore* store = job->GetStore(0, "counts");
+    EXPECT_NE(store, nullptr);
+    std::string count;
+    if (store != nullptr) {
+      auto stored = store->Get("user");
+      if (stored.ok()) count = *stored;
+    }
+    LIQUID_EXPECT_OK(job->Stop());
+    return count;
+  }
+};
+
+TEST_F(SameDiskRestartTest, AbortedTransactionLeavesNoStateOnTheDisk) {
+  ProduceOneKey(12);
+  const JobConfig config = CounterConfig();
+  {
+    auto job = MakeCounter(config);
+    auto processed = job->RunOnce();  // All 12, inside the transaction.
+    ASSERT_TRUE(processed.ok());
+    ASSERT_EQ(*processed, 12);
+    LIQUID_ASSERT_OK(job->Kill());  // Crash before the commit.
+  }
+  EXPECT_EQ(CountAfterRestart(config), "12");  // Not 24.
+}
+
+TEST_F(SameDiskRestartTest, OrderedReadsInTheTransactionWriteNothingThrough) {
+  // The task's Window() scans the store in key order (ForEach) while the
+  // transaction is open; the scan must not write dirty keys through.
+  ProduceOneKey(12);
+  JobConfig config = CounterConfig();
+  config.poll_max_records = 6;
+  config.window_interval_ms = 1;
+  {
+    auto job = MakeCounter(config);
+    for (int round = 0; round < 2; ++round) {
+      clock_.AdvanceMs(5);  // Each round ends with a Window() call.
+      auto processed = job->RunOnce();
+      ASSERT_TRUE(processed.ok());
+      ASSERT_EQ(*processed, 6);
+    }
+    LIQUID_ASSERT_OK(job->Kill());
+  }
+  EXPECT_EQ(CountAfterRestart(config), "12");
+}
+
+TEST_F(SameDiskRestartTest, WindowOnlyStateChangesCommitInTheirOwnTransaction) {
+  // Window() may change state in a round that processed no input, when no
+  // transaction is open; the commit opens one for those changelog records.
+  JobConfig config;
+  config.name = "eo-window";
+  config.inputs = {"in"};
+  config.exactly_once = true;
+  config.window_interval_ms = 1000;
+  config.stores = {{"windows", StoreConfig::Kind::kInMemory, true}};
+  auto factory = [] {
+    return std::make_unique<WindowedAggregateTask>("windows", "out", 1000);
+  };
+  Produce("in", {Record::KeyValue("a", "5", /*ts_ms=*/100),
+                 Record::KeyValue("a", "7", /*ts_ms=*/1500)});
+  const std::string closed = WindowedAggregateTask::WindowKey(0, "a");
+  const std::string open = WindowedAggregateTask::WindowKey(1000, "a");
+  {
+    auto job = Job::Create(cluster_.get(), offsets_.get(), coordinator_.get(),
+                           &state_disk_, config, factory, "0", txn_.get());
+    ASSERT_TRUE(job.ok()) << job.status().ToString();
+    auto processed = (*job)->RunOnce();
+    ASSERT_TRUE(processed.ok());
+    ASSERT_EQ(*processed, 2);
+    LIQUID_ASSERT_OK((*job)->Commit());
+    clock_.AdvanceMs(2000);
+    processed = (*job)->RunOnce();  // No input; Window() drops `closed`.
+    ASSERT_TRUE(processed.ok());
+    ASSERT_EQ(*processed, 0);
+    KeyValueStore* live = (*job)->GetStore(0, "windows");
+    ASSERT_NE(live, nullptr);
+    EXPECT_TRUE(live->Get(closed).status().IsNotFound());
+    LIQUID_ASSERT_OK((*job)->Stop());
+  }
+  storage::MemDisk fresh;
+  auto job = Job::Create(cluster_.get(), offsets_.get(), coordinator_.get(),
+                         &fresh, config, factory, "0", txn_.get());
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  ASSERT_TRUE((*job)->RunOnce().ok());  // Restores from the changelog.
+  KeyValueStore* store = (*job)->GetStore(0, "windows");
+  ASSERT_NE(store, nullptr);
+  EXPECT_TRUE(store->Get(closed).status().IsNotFound());
+  EXPECT_EQ(*store->Get(open), "7");
+  LIQUID_ASSERT_OK((*job)->Stop());
+}
+
+TEST_F(SameDiskRestartTest, ExactlyOnceRequiresTheChangelogRestore) {
+  JobConfig config = CounterConfig();
+  config.restore_from_changelog = false;
+  auto job = Job::Create(
+      cluster_.get(), offsets_.get(), coordinator_.get(), &state_disk_, config,
+      [] { return std::make_unique<KeyedCounterTask>("counts"); }, "0",
+      txn_.get());
+  EXPECT_TRUE(job.status().IsInvalidArgument()) << job.status().ToString();
+}
+
 // The consumer keeps the undelivered tail of each fetch. A checkpoint must
 // name the next record the job has not processed, never the end of the
 // fetch: commit while records are buffered, crash, restart, and every input

@@ -121,14 +121,25 @@ TEST_F(RecoveryTest, ChangelogIsCompactedKeyedFeed) {
     records.push_back(Record::KeyValue("k" + std::to_string(i % 4), "e"));
   }
   Produce("in", records);
-  auto job = MakeJob(CounterConfig("compacting"),
+  // A commit publishes one changelog record per key it dirtied, so each of
+  // the 50 rounds of 4 updates gets its own commit: the changelog then holds
+  // every update, and compaction has superseded records to drop.
+  JobConfig job_config = CounterConfig("compacting");
+  job_config.poll_max_records = 4;
+  auto job = MakeJob(job_config,
                      [] { return std::make_unique<KeyedCounterTask>("counts"); });
-  ASSERT_TRUE(job->RunUntilIdle().ok());
+  for (int round = 0; round < 50; ++round) {
+    auto processed = job->RunOnce();
+    ASSERT_TRUE(processed.ok());
+    ASSERT_EQ(*processed, 4) << round;
+    LIQUID_ASSERT_OK(job->Commit());
+  }
 
   const std::string changelog = Job::ChangelogTopic("compacting", "counts");
   auto config = cluster_->GetTopicConfig(changelog);
   ASSERT_TRUE(config.ok());
   EXPECT_TRUE(config->log.compaction_enabled);
+  EXPECT_EQ(ReadAll(TopicPartition{changelog, 0}).size(), 200u);
 
   // Compact and verify only the latest update per key survives the cleaned
   // portion while restore still yields correct state (§4.1: "performing log
