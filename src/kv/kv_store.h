@@ -38,8 +38,6 @@ class WriteBatch {
   void Delete(const Slice& key);
   void Reserve(size_t mutations) { entries_.reserve(mutations); }
 
-  size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
   /// The mutations in the order they were added.
   const std::vector<Entry>& entries() const { return entries_; }
 

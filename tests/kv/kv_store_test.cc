@@ -144,7 +144,7 @@ TEST_F(KvStoreTest, WriteBatchAppliesInOrderAndRecoversFromWal) {
     batch.Put("b", "22");  // The later mutation of a key wins.
     batch.Delete("old");
     batch.Put("c", "3");
-    EXPECT_EQ(batch.size(), 6u);
+    EXPECT_EQ(batch.entries().size(), 6u);
     LIQUID_ASSERT_OK(store->Write(std::move(batch)));
     EXPECT_TRUE(store->Get("a").status().IsNotFound());
     EXPECT_EQ(*store->Get("b"), "22");
