@@ -33,8 +33,9 @@ Broker::Broker(int id, Cluster* cluster, storage::Disk* disk, Clock* clock,
       disk_(disk),
       clock_(clock),
       config_(config),
-      page_cache_(
-          std::make_unique<storage::PageCache>(config_.page_cache, clock)),
+      page_cache_(std::make_unique<storage::PageCache>(
+          config_.page_cache, clock,
+          "liquid.broker." + std::to_string(id) + ".page_cache.")),
       quotas_(clock) {
   // Hot-path handles into the process-wide registry, resolved once here:
   // registry entries are never erased, so the pointers stay valid and the

@@ -3,11 +3,20 @@
 #include <algorithm>
 #include <cstring>
 #include <iterator>
+#include <vector>
 
 namespace liquid::storage {
 
-PageCache::PageCache(PageCacheConfig config, Clock* clock)
-    : config_(config), clock_(clock) {}
+PageCache::PageCache(PageCacheConfig config, Clock* clock,
+                     const std::string& metrics_prefix)
+    : config_(config), clock_(clock) {
+  if (metrics_prefix.empty()) return;
+  MetricsRegistry* global = MetricsRegistry::Default();
+  hits_counter_ = global->GetCounter(metrics_prefix + "hits");
+  misses_counter_ = global->GetCounter(metrics_prefix + "misses");
+  evictions_counter_ = global->GetCounter(metrics_prefix + "evictions");
+  disk_read_pages_ = global->GetHistogram(metrics_prefix + "disk_read_pages");
+}
 
 uint64_t PageCache::NewFileId() {
   MutexLock lock(&mu_);
@@ -54,27 +63,33 @@ void PageCache::ExpireWrites(int64_t now_ms) {
   }
 }
 
-void PageCache::InsertPage(uint64_t key, std::string bytes) {
+PageCache::Page* PageCache::FindServing(uint64_t key, size_t needed) {
+  auto it = pages_.find(key);
+  return it != pages_.end() && it->second.bytes->size() >= needed
+             ? &it->second
+             : nullptr;
+}
+
+void PageCache::InsertPage(uint64_t key, std::shared_ptr<std::string> bytes) {
   auto it = pages_.find(key);
   if (it != pages_.end()) {
     // The file only grows, so the resident page and these bytes are both
     // prefixes of its page: keep the longer. A read that raced an append
     // thus never replaces the noted bytes with its older copy.
-    if (it->second.bytes->size() < bytes.size()) {
+    if (it->second.bytes->size() < bytes->size()) {
       bytes_cached_ -= it->second.bytes->size();
       // Replace the buffer wholesale (never mutate): outstanding pins keep
       // the old buffer alive and see a frozen snapshot.
-      it->second.bytes = std::make_shared<std::string>(std::move(bytes));
+      it->second.bytes = std::move(bytes);
       bytes_cached_ += it->second.bytes->size();
     }
     Touch(&it->second);
     return;
   }
   Page page;
-  bytes_cached_ += bytes.size();
-  page.bytes = std::make_shared<std::string>(std::move(bytes));
+  bytes_cached_ += bytes->size();
+  page.bytes = std::move(bytes);
   AddPage(key, std::move(page));
-  EvictIfNeeded();
 }
 
 void PageCache::EvictIfNeeded() {
@@ -82,12 +97,16 @@ void PageCache::EvictIfNeeded() {
   // Clean (flushed) pages go first, preserving the freshly written head of
   // the log in RAM; dirty pages are force-evicted only if the cache is still
   // over capacity (the OS would block on writeback here).
+  const int64_t evictions_before = evictions_;
   for (LruSet* lru : {&clean_lru_, &dirty_lru_}) {
     while (bytes_cached_ > config_.capacity_bytes && !lru->empty()) {
       if (lru == &dirty_lru_) ++forced_evictions_;
       Drop(pages_.find(lru->begin()->second));
       ++evictions_;
     }
+  }
+  if (evictions_counter_ && evictions_ > evictions_before) {
+    evictions_counter_->Increment(evictions_ - evictions_before);
   }
 }
 
@@ -101,63 +120,87 @@ Status PageCache::Read(uint64_t file_id, const File& file, uint64_t offset,
   out->reserve(n);
 
   const size_t page_size = config_.page_size;
+  const uint64_t end = offset + n;
+  const uint64_t last_page = (end - 1) / page_size;
+  // The bytes of page `p` the read needs, counted from the page's start; the
+  // file holds all of them.
+  const auto needed = [&](uint64_t p) {
+    return static_cast<size_t>(std::min<uint64_t>(end, (p + 1) * page_size) -
+                               p * page_size);
+  };
   uint64_t page_no = offset / page_size;
-  const uint64_t last_page = (offset + n - 1) / page_size;
-
   while (page_no <= last_page) {
-    const uint64_t key = MakeKey(file_id, page_no);
     const uint64_t page_start = page_no * page_size;
-    // The bytes of this page the read needs, all of which the file holds.
-    const size_t needed = static_cast<size_t>(
-        std::min<uint64_t>(offset + n, page_start + page_size) - page_start);
     // Holding a reference pins the buffer: NoteAppend never moves or
     // rewrites the bytes it holds, so copying them outside the lock is safe.
     // Its length is taken under the lock, since appends may extend the
-    // buffer in place. A page shorter than the needed bytes is a miss: a
-    // read that raced an append can leave a page behind the file (see
-    // NoteAppend).
+    // buffer in place.
     std::shared_ptr<const std::string> page_bytes;
     size_t page_len = 0;
+    // On a miss, the end of the run of pages from page_no on that the read
+    // needs and the cache cannot serve, found in the same hold.
+    uint64_t run_end = page_no + 1;
     {
       MutexLock lock(&mu_);
-      auto it = pages_.find(key);
-      if (it != pages_.end() && it->second.bytes->size() >= needed) {
-        page_bytes = it->second.bytes;
+      if (Page* page = FindServing(MakeKey(file_id, page_no), needed(page_no))) {
+        page_bytes = page->bytes;
         page_len = page_bytes->size();
-        Touch(&it->second);
+        Touch(page);
         ++hits_;
+        if (hits_counter_) hits_counter_->Increment();
       } else {
         ++misses_;
-      }
-    }
-    if (!page_bytes) {
-      // Miss: fetch this page plus read-ahead in one sequential disk read
-      // (single seek), as the OS would.
-      const int ahead = std::max(1, config_.readahead_pages);
-      const uint64_t fetch_bytes = static_cast<uint64_t>(ahead) * page_size;
-      std::string chunk;
-      LIQUID_RETURN_NOT_OK(file.ReadAt(page_no * page_size, fetch_bytes, &chunk));
-      if (chunk.empty()) break;
-      {
-        MutexLock lock(&mu_);
-        for (uint64_t i = 0; i * page_size < chunk.size(); ++i) {
-          const size_t begin = i * page_size;
-          const size_t len = std::min(page_size, chunk.size() - begin);
-          InsertPage(MakeKey(file_id, page_no + i), chunk.substr(begin, len));
+        if (misses_counter_) misses_counter_->Increment();
+        while (run_end <= last_page &&
+               !FindServing(MakeKey(file_id, run_end), needed(run_end))) {
+          ++run_end;
         }
       }
-      page_bytes = std::make_shared<const std::string>(
-          chunk.substr(0, std::min<size_t>(page_size, chunk.size())));
-      page_len = page_bytes->size();
     }
-    // Copy the requested byte range out of this page.
+    if (page_bytes) {
+      const uint64_t want_begin = std::max<uint64_t>(offset, page_start);
+      const uint64_t want_end = std::min<uint64_t>(end, page_start + page_len);
+      out->append(page_bytes->data() + (want_begin - page_start),
+                  want_end - want_begin);
+      ++page_no;
+      continue;
+    }
+    // Miss: fetch the whole run, and at least the read-ahead, in one
+    // sequential disk read (single seek), as the OS would.
+    const uint64_t fetch_pages = std::max<uint64_t>(
+        run_end - page_no, std::max(1, config_.readahead_pages));
+    std::string chunk;
+    LIQUID_RETURN_NOT_OK(
+        file.ReadAt(page_start, fetch_pages * page_size, &chunk));
+    if (chunk.empty()) break;
+    std::vector<std::shared_ptr<std::string>> fetched;
+    fetched.reserve((chunk.size() + page_size - 1) / page_size);
+    for (size_t begin = 0; begin < chunk.size(); begin += page_size) {
+      fetched.push_back(std::make_shared<std::string>(
+          chunk, begin, std::min(page_size, chunk.size() - begin)));
+    }
+    if (disk_read_pages_) {
+      disk_read_pages_->Record(static_cast<int64_t>(fetched.size()));
+    }
+    {
+      MutexLock lock(&mu_);
+      for (size_t i = 0; i < fetched.size(); ++i) {
+        InsertPage(MakeKey(file_id, page_no + i), std::move(fetched[i]));
+      }
+      EvictIfNeeded();
+    }
+    // Serve the run from the chunk itself: eviction may already have dropped
+    // its first pages when the run is longer than the cache.
+    const uint64_t run_bytes_end = std::min<uint64_t>(end, run_end * page_size);
     const uint64_t want_begin = std::max<uint64_t>(offset, page_start);
     const uint64_t want_end =
-        std::min<uint64_t>(offset + n, page_start + page_len);
+        std::min<uint64_t>(run_bytes_end, page_start + chunk.size());
     if (want_begin >= want_end) break;
-    out->append(page_bytes->data() + (want_begin - page_start),
+    out->append(chunk.data() + (want_begin - page_start),
                 want_end - want_begin);
-    ++page_no;
+    // A chunk short of the run means the file was truncated meanwhile.
+    if (want_end < run_bytes_end) break;
+    page_no = run_end;
   }
   return Status::OK();
 }
@@ -169,6 +212,7 @@ PageCache::PinnedPage PageCache::Pin(uint64_t file_id, uint64_t offset) {
   if (it == pages_.end()) return PinnedPage{};
   Touch(&it->second);
   ++hits_;
+  if (hits_counter_) hits_counter_->Increment();
   return PinnedPage{it->second.bytes, page_no * config_.page_size};
 }
 

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "common/clock.h"
+#include "common/metrics.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -27,9 +28,10 @@ struct PageCacheConfig {
   size_t capacity_bytes = 64ull << 20;  // 64 MiB
   /// Dirty (recently appended) pages are not evictable until this old.
   int64_t flush_after_ms = 1000;
-  /// Pages fetched ahead on a read miss (models OS prefetching; §4.1 notes
-  /// "after typically a few seconds, successive reads become fast due to
-  /// prefetching").
+  /// The fewest pages one read miss fetches: a miss reads its whole run of
+  /// missing pages, or this many if the run is shorter (models OS
+  /// prefetching; §4.1 notes "after typically a few seconds, successive
+  /// reads become fast due to prefetching").
   int readahead_pages = 8;
 };
 
@@ -37,6 +39,13 @@ struct PageCacheConfig {
 ///
 /// Pages are identified by (file_id, page_number); files obtain ids from
 /// NewFileId(). Use CachedFile to wrap a File with transparent caching.
+///
+/// A read serves each resident page it covers from RAM. At a page it cannot
+/// serve it finds, in the same lock hold, the whole run of following pages
+/// the request needs and the cache cannot serve, and fetches that run in one
+/// disk read of at least `readahead_pages` pages; the run's bytes are served
+/// from that read, so a run longer than the cache is still served whole.
+/// misses() counts those disk reads, hits() the pages served from RAM.
 ///
 /// Eviction is least-recently-used in two passes: clean pages first, then,
 /// only if still over capacity, dirty ones (written less than
@@ -62,7 +71,12 @@ class PageCache {
     explicit operator bool() const { return bytes != nullptr; }
   };
 
-  PageCache(PageCacheConfig config, Clock* clock);
+  /// With a non-empty `metrics_prefix` the cache also publishes, in
+  /// MetricsRegistry::Default(), the counters `<prefix>hits`, `misses` and
+  /// `evictions` and the histogram `<prefix>disk_read_pages` (pages per disk
+  /// read).
+  PageCache(PageCacheConfig config, Clock* clock,
+            const std::string& metrics_prefix = "");
 
   PageCache(const PageCache&) = delete;
   PageCache& operator=(const PageCache&) = delete;
@@ -70,7 +84,8 @@ class PageCache {
   uint64_t NewFileId();
 
   /// Reads [offset, offset+n) of `file`, serving from cache where possible.
-  /// Misses read from disk with read-ahead and populate the cache.
+  /// Each run of missing pages is one disk read, with read-ahead, that
+  /// populates the cache.
   Status Read(uint64_t file_id, const File& file, uint64_t offset, size_t n,
               std::string* out);
 
@@ -129,14 +144,20 @@ class PageCache {
   /// Makes `page` the most recently used; `dirty` selects its set.
   void Touch(Page* page, bool dirty) REQUIRES(mu_);
   void Touch(Page* page) REQUIRES(mu_) { Touch(page, page->dirty); }
+  /// The resident page `key` if it holds at least `needed` bytes, else null.
+  /// A shorter page is a miss: a read that raced an append can leave a page
+  /// behind the file (see NoteAppend).
+  Page* FindServing(uint64_t key, size_t needed) REQUIRES(mu_);
   /// Drops a resident page from the map, its LRU set and the byte count.
   PageMap::iterator Drop(PageMap::iterator it) REQUIRES(mu_);
   /// Moves pages whose flush window closed by `now_ms` to the clean set,
   /// keeping their place in LRU order.
   void ExpireWrites(int64_t now_ms) REQUIRES(mu_);
   /// Caches a page a read miss fetched from the file, unless the resident
-  /// page is at least as long.
-  void InsertPage(uint64_t key, std::string bytes) REQUIRES(mu_);
+  /// page is at least as long. Does not evict: the caller evicts once per
+  /// disk read.
+  void InsertPage(uint64_t key, std::shared_ptr<std::string> bytes)
+      REQUIRES(mu_);
   void EvictIfNeeded() REQUIRES(mu_);
 
   const PageCacheConfig config_;
@@ -159,6 +180,13 @@ class PageCache {
   int64_t misses_ GUARDED_BY(mu_) = 0;
   int64_t evictions_ GUARDED_BY(mu_) = 0;
   int64_t forced_evictions_ GUARDED_BY(mu_) = 0;
+
+  /// Published twins of the counters above, resolved at construction; all
+  /// null without a metrics prefix.
+  Counter* hits_counter_ = nullptr;
+  Counter* misses_counter_ = nullptr;
+  Counter* evictions_counter_ = nullptr;
+  Histogram* disk_read_pages_ = nullptr;
 };
 
 /// File decorator routing reads through a PageCache and populating it on

@@ -98,13 +98,16 @@ TEST_F(SchedulerTest, FairSchedulingInterleavesDespiteNoisyNeighbour) {
 }
 
 TEST_F(SchedulerTest, SharesProportionallyFavourHigherShare) {
-  FairScheduler scheduler(true, &clock_);
+  // Simulated time, so each item costs exactly 50us of CPU and the split
+  // does not depend on how the host schedules the test.
+  SimulatedClock clock(0);
+  FairScheduler scheduler(true, &clock);
   const int gold = scheduler.RegisterContainer({"gold", 3.0, 1 << 20});
   const int bronze = scheduler.RegisterContainer({"bronze", 1.0, 1 << 20});
   // Equal work per item for both.
   for (int i = 0; i < 100; ++i) {
-    LIQUID_ASSERT_OK(scheduler.Submit(gold, [] { storage::SpinFor(50 * 1000); }));
-    LIQUID_ASSERT_OK(scheduler.Submit(bronze, [] { storage::SpinFor(50 * 1000); }));
+    LIQUID_ASSERT_OK(scheduler.Submit(gold, [&clock] { clock.AdvanceUs(50); }));
+    LIQUID_ASSERT_OK(scheduler.Submit(bronze, [&clock] { clock.AdvanceUs(50); }));
   }
   // Run a bounded number of dispatches.
   for (int i = 0; i < 40; ++i) scheduler.RunOne();

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/metrics.h"
 #include "common/random.h"
 
 #include "test_util.h"
@@ -105,6 +106,110 @@ TEST_F(PageCacheTest, ReadAheadWarmsFollowingPages) {
   LIQUID_ASSERT_OK(file.ReadAt(384, 128, &out));
   EXPECT_EQ(cache.misses(), 1);
   EXPECT_GE(cache.hits(), 3);
+}
+
+TEST_F(PageCacheTest, ContiguousMissIsOneDiskRead) {
+  // A cold read of 32 pages is one run of misses: one disk read covering
+  // all of it, not one read-ahead chunk per 8 pages.
+  auto config = SmallConfig();
+  config.capacity_bytes = 64 * 128;
+  config.readahead_pages = 8;
+  PageCache cache(config, &clock_);
+  std::string data;
+  for (int i = 0; i < 32 * 128; ++i) data.push_back(static_cast<char>(i % 251));
+  {
+    auto raw = disk_.OpenOrCreate("f");
+    LIQUID_ASSERT_OK((*raw)->Append(data));
+  }
+  CachedFile file(std::move(disk_.OpenOrCreate("f")).value(), &cache);
+
+  std::string out;
+  LIQUID_ASSERT_OK(file.ReadAt(0, data.size(), &out));
+  EXPECT_EQ(out, data);
+  EXPECT_EQ(disk_.read_ops(), 1);
+  EXPECT_EQ(disk_.bytes_read(), static_cast<int64_t>(data.size()));
+  EXPECT_EQ(cache.misses(), 1);
+  EXPECT_EQ(cache.hits(), 0);
+  for (uint64_t p = 0; p < 32; ++p) {
+    EXPECT_TRUE(cache.Resident(1, p * 128)) << "page " << p;
+  }
+}
+
+TEST_F(PageCacheTest, MissRunStopsAtAResidentPage) {
+  // Page 3 is resident, so a read of pages 0..7 is two runs, 0..2 and
+  // 4..7, around one hit: page 3 is not read from disk again.
+  auto config = SmallConfig();
+  config.readahead_pages = 1;
+  PageCache cache(config, &clock_);
+  const std::string data(8 * 128, 'r');
+  {
+    auto raw = disk_.OpenOrCreate("f");
+    LIQUID_ASSERT_OK((*raw)->Append(data));
+  }
+  CachedFile file(std::move(disk_.OpenOrCreate("f")).value(), &cache);
+
+  std::string out;
+  LIQUID_ASSERT_OK(file.ReadAt(3 * 128, 128, &out));
+  ASSERT_EQ(disk_.bytes_read(), 128);
+  LIQUID_ASSERT_OK(file.ReadAt(0, data.size(), &out));
+  EXPECT_EQ(out, data);
+  EXPECT_EQ(disk_.bytes_read(), static_cast<int64_t>(data.size()));
+  EXPECT_EQ(disk_.read_ops(), 3);
+  EXPECT_EQ(cache.misses(), 3);
+  EXPECT_EQ(cache.hits(), 1);
+}
+
+TEST_F(PageCacheTest, RunLongerThanTheCacheIsServedWhole) {
+  // A 16-page run through a 4-page cache: eviction drops the run's first
+  // pages as its last go in, yet the read returns every byte, from one
+  // disk read, and the cache stays within its capacity.
+  auto config = SmallConfig();
+  config.capacity_bytes = 4 * 128;
+  PageCache cache(config, &clock_);
+  std::string data;
+  for (int i = 0; i < 16 * 128; ++i) data.push_back(static_cast<char>('a' + i % 26));
+  {
+    auto raw = disk_.OpenOrCreate("f");
+    LIQUID_ASSERT_OK((*raw)->Append(data));
+  }
+  CachedFile file(std::move(disk_.OpenOrCreate("f")).value(), &cache);
+
+  std::string out;
+  LIQUID_ASSERT_OK(file.ReadAt(64, data.size() - 100, &out));
+  EXPECT_EQ(out, data.substr(64, data.size() - 100));
+  EXPECT_EQ(disk_.read_ops(), 1);
+  EXPECT_LE(cache.bytes_cached(), config.capacity_bytes);
+  EXPECT_EQ(cache.evictions(), 12);
+  EXPECT_TRUE(cache.Resident(1, 15 * 128));  // The run's last pages stay.
+  EXPECT_FALSE(cache.Resident(1, 0));
+}
+
+TEST_F(PageCacheTest, PublishesItsCountersUnderTheMetricsPrefix) {
+  // A cold 16-page read through a 4-page cache, then a pin of a page it
+  // left resident: the published counters track the cache's own, and the
+  // histogram holds one sample per disk read, its length in pages.
+  auto config = SmallConfig();
+  config.capacity_bytes = 4 * 128;
+  const std::string prefix = "liquid.page_cache_test.published.";
+  PageCache cache(config, &clock_, prefix);
+  {
+    auto raw = disk_.OpenOrCreate("f");
+    LIQUID_ASSERT_OK((*raw)->Append(std::string(16 * 128, 'p')));
+  }
+  CachedFile file(std::move(disk_.OpenOrCreate("f")).value(), &cache);
+  std::string out;
+  LIQUID_ASSERT_OK(file.ReadAt(0, 16 * 128, &out));
+  ASSERT_TRUE(file.Pin(15 * 128));
+
+  MetricsRegistry* metrics = MetricsRegistry::Default();
+  EXPECT_EQ(metrics->GetCounter(prefix + "hits")->value(), 1);
+  EXPECT_EQ(metrics->GetCounter(prefix + "misses")->value(), 1);
+  EXPECT_EQ(metrics->GetCounter(prefix + "evictions")->value(), 12);
+  EXPECT_EQ(cache.evictions(), 12);
+  const HistogramStats pages =
+      metrics->GetHistogram(prefix + "disk_read_pages")->Stats();
+  EXPECT_EQ(pages.count, 1);
+  EXPECT_EQ(pages.max, 16);
 }
 
 TEST_F(PageCacheTest, EvictionKeepsCapacityBounded) {
@@ -284,32 +389,41 @@ class ReferenceCache {
     if (n == 0 || offset >= file_size) return;
     n = std::min<uint64_t>(n, file_size - offset);
     const size_t ps = config_.page_size;
-    for (uint64_t page_no = offset / ps; page_no <= (offset + n - 1) / ps;
-         ++page_no) {
+    const uint64_t last_page = (offset + n - 1) / ps;
+    const auto serves = [&](uint64_t page_no) {
       const uint64_t page_start = page_no * ps;
       const size_t needed = static_cast<size_t>(
           std::min<uint64_t>(offset + n, page_start + ps) - page_start);
       auto it = pages_.find(Key(file_id, page_no));
-      size_t page_len = 0;
-      if (it != pages_.end() && it->second.size >= needed) {
-        page_len = it->second.size;
+      return it != pages_.end() && it->second.size >= needed ? it
+                                                             : pages_.end();
+    };
+    for (uint64_t page_no = offset / ps; page_no <= last_page;) {
+      auto it = serves(page_no);
+      if (it != pages_.end()) {
         Touch(&it->second);
         ++hits_;
-      } else {
-        ++misses_;
-        const uint64_t chunk = std::min<uint64_t>(
-            static_cast<uint64_t>(std::max(1, config_.readahead_pages)) * ps,
-            file_size - page_start);
-        for (uint64_t i = 0; i * ps < chunk; ++i) {
-          Insert(Key(file_id, page_no + i),
-                 static_cast<size_t>(std::min<uint64_t>(ps, chunk - i * ps)));
-        }
-        page_len = static_cast<size_t>(std::min<uint64_t>(ps, chunk));
+        ++page_no;
+        continue;
       }
-      if (std::max<uint64_t>(offset, page_start) >=
-          std::min<uint64_t>(offset + n, page_start + page_len)) {
-        break;
+      // One disk read for the run of pages the cache cannot serve, of at
+      // least the read-ahead, then one eviction pass.
+      ++misses_;
+      ++disk_reads_;
+      uint64_t run_end = page_no + 1;
+      while (run_end <= last_page && serves(run_end) == pages_.end()) {
+        ++run_end;
       }
+      const uint64_t page_start = page_no * ps;
+      const uint64_t pages = std::max<uint64_t>(
+          run_end - page_no, std::max(1, config_.readahead_pages));
+      const uint64_t chunk = std::min<uint64_t>(pages * ps, file_size - page_start);
+      for (uint64_t i = 0; i * ps < chunk; ++i) {
+        Insert(Key(file_id, page_no + i),
+               static_cast<size_t>(std::min<uint64_t>(ps, chunk - i * ps)));
+      }
+      Evict();
+      page_no = run_end;
     }
   }
 
@@ -338,6 +452,7 @@ class ReferenceCache {
   int64_t evictions() const { return evictions_; }
   int64_t forced_evictions() const { return forced_; }
   size_t bytes_cached() const { return bytes_; }
+  int64_t disk_reads() const { return disk_reads_; }
 
  private:
   struct Page {
@@ -375,7 +490,6 @@ class ReferenceCache {
     lru_.push_front(key);
     pages_.emplace(key, Page{size, false, 0, lru_.begin()});
     bytes_ += size;
-    Evict();
   }
 
   void Evict() {
@@ -406,13 +520,15 @@ class ReferenceCache {
   int64_t misses_ = 0;
   int64_t evictions_ = 0;
   int64_t forced_ = 0;
+  int64_t disk_reads_ = 0;
 };
 
 TEST_F(PageCacheTest, EvictionMatchesTheLinearTwoPassScan) {
   // A seeded random mix of appends, reads, pins, truncations and clock
   // advances over several files and a cache of 12 small pages. After every
-  // operation the resident page set and all four counters must equal the
-  // reference scan's; reads must return the file's bytes.
+  // operation the resident page set, all four counters and the number of
+  // disk reads must equal the reference scan's; reads must return the
+  // file's bytes.
   PageCacheConfig config;
   config.page_size = 64;
   config.capacity_bytes = 12 * 64;
@@ -498,6 +614,7 @@ TEST_F(PageCacheTest, EvictionMatchesTheLinearTwoPassScan) {
       ASSERT_EQ(cache.evictions(), model.evictions()) << "op " << op;
       ASSERT_EQ(cache.forced_evictions(), model.forced_evictions())
           << "op " << op;
+      ASSERT_EQ(disk.read_ops(), model.disk_reads()) << "op " << op;
     }
     // The mix exercised both passes.
     EXPECT_GT(model.evictions(), model.forced_evictions());
